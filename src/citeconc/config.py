@@ -33,6 +33,7 @@ class ConfigError(Exception):
 
 
 STUDY_TYPES = ("gini", "uncited", "region_removal", "region_tails", "top_shares", "gini_by_field")
+FORWARD_ONLY = ("uncited", "region_removal", "region_tails", "top_shares")
 
 GLOBAL_KEYS = {
     "corpus.articles", "corpus.edges", "corpus.scenario",
@@ -114,6 +115,13 @@ def _int(value: str, key: str) -> int:
         return int(value)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+
+
+def _float(value: str, key: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
 def build_run(raw: dict[str, str]) -> RunConfig:
@@ -204,11 +212,13 @@ def _build_study(name: str, scoped: dict[str, str]) -> StudySpec:
         )
     except ValueError as e:
         raise ConfigError(f"{name}: {e}") from None
-    pcts = tuple(float(p) for p in scoped.get("study.pcts", "0.01,0.05,0.10").split(","))
+    if kind in FORWARD_ONLY and direction != FORWARD:
+        raise ConfigError(f"{name}: {kind} requires a forward window (study.approach = {CITATION_BASED})")
+    pcts = tuple(_float(p, f"{name}.study.pcts") for p in scoped.get("study.pcts", "0.01,0.05,0.10").split(","))
     for p in pcts:
         if not 0 < p <= 1:
             raise ConfigError(f"{name}.study.pcts: values must lie in (0, 1]")
-    top_pct = float(scoped.get("study.top_pct", "0.01"))
+    top_pct = _float(scoped.get("study.top_pct", "0.01"), f"{name}.study.top_pct")
     if not 0 < top_pct <= 1:
         raise ConfigError(f"{name}.study.top_pct: must lie in (0, 1]")
     return StudySpec(name=name, kind=kind, config=cfg, pcts=pcts, top_pct=top_pct, citing_level=citing_level)

@@ -46,6 +46,11 @@ class CitationEdge:
 class Corpus:
     """Immutable column store of articles plus a deduplicated citation edge list.
 
+    Fields, regions, journals and authors are integer codes into label lists.
+    Authors are in CSR form: article ``i`` has the distinct authors ``authors[c]``
+    for ``c`` in ``author_code[author_ptr[i]:author_ptr[i + 1]]``, listed in
+    ascending order of author name, the order :func:`write_tables` emits.
+
     Arrays are frozen after construction; every downstream operation treats the
     corpus as read-only, so unrestricted concurrent reads are safe.
     """
@@ -61,7 +66,9 @@ class Corpus:
         regions: list[str],
         journal_code: np.ndarray,
         journals: list[str],
-        author_sets: list[tuple[str, ...]],
+        author_ptr: np.ndarray,
+        author_code: np.ndarray,
+        authors: list[str],
         citing: np.ndarray,
         cited: np.ndarray,
         span: tuple[int, int],
@@ -79,7 +86,9 @@ class Corpus:
         self.regions = list(regions)
         self.journal_code = np.asarray(journal_code, dtype=np.int32)
         self.journals = list(journals)
-        self.author_sets = author_sets
+        self.author_ptr = np.asarray(author_ptr, dtype=np.int64)
+        self.author_code = np.asarray(author_code, dtype=np.int32)
+        self.authors = list(authors)
         self.citing = np.asarray(citing, dtype=np.int64)
         self.cited = np.asarray(cited, dtype=np.int64)
         self.span = (int(span[0]), int(span[1]))
@@ -87,9 +96,9 @@ class Corpus:
         self.rows_read = rows_read
         self.citing_year = self.pub_year[self.citing] if len(self.citing) else np.zeros(0, np.int32)
         self.cited_year = self.pub_year[self.cited] if len(self.cited) else np.zeros(0, np.int32)
-        self.self_edge = _compute_self_edges(self.author_sets, self.citing, self.cited)
-        for arr in (self.pub_year, self.field_code, self.region_code, self.journal_code,
-                    self.citing, self.cited, self.citing_year, self.cited_year, self.self_edge):
+        self.self_edge = _compute_self_edges(self.author_ptr, self.author_code, self.citing, self.cited)
+        for arr in (self.pub_year, self.field_code, self.region_code, self.journal_code, self.author_ptr,
+                    self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.self_edge):
             arr.flags.writeable = False
 
     @property
@@ -102,22 +111,19 @@ class Corpus:
 
     def article(self, article_id: str) -> Article:
         i = self.id_index[article_id]
+        codes = self.author_code[self.author_ptr[i]:self.author_ptr[i + 1]].tolist()
         return Article(
             id=self.ids[i],
             pub_year=int(self.pub_year[i]),
             field=self.fields[self.field_code[i]],
             region=self.regions[self.region_code[i]],
             journal_id=self.journals[self.journal_code[i]],
-            author_ids=frozenset(self.author_sets[i]),
+            author_ids=frozenset(self.authors[c] for c in codes),
         )
 
     def articles(self) -> Iterator[Article]:
         for a in self.ids:
             yield self.article(a)
-
-    def edges(self) -> Iterator[CitationEdge]:
-        for j in range(self.n_edges):
-            yield CitationEdge(self.ids[self.citing[j]], self.ids[self.cited[j]])
 
     def ncits_by_year(self) -> dict[int, int]:
         """Total retained citations made in each year (year of the citing article)."""
@@ -141,7 +147,9 @@ class Corpus:
             regions=self.regions,
             journal_code=self.journal_code[old_idx],
             journals=self.journals,
-            author_sets=[self.author_sets[i] for i in old_idx],
+            author_ptr=np.concatenate([[0], np.cumsum(np.diff(self.author_ptr)[keep])]),
+            author_code=self.author_code[np.repeat(keep, np.diff(self.author_ptr))],
+            authors=self.authors,
             citing=remap[self.citing[edge_keep]],
             cited=remap[self.cited[edge_keep]],
             span=self.span,
@@ -149,42 +157,37 @@ class Corpus:
         )
 
 
-def _compute_self_edges(author_sets: list[tuple[str, ...]], citing: np.ndarray, cited: np.ndarray) -> np.ndarray:
+# (edge, citing author) pairs per pass of _compute_self_edges: bounds its memory.
+_SELF_EDGE_CHUNK = 1 << 20
+
+
+def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
+                        citing: np.ndarray, cited: np.ndarray) -> np.ndarray:
+    """Flag edges whose citing and cited articles share an author: each edge is
+    expanded over the citing authors, and each (cited, author) key looked up."""
     out = np.zeros(len(citing), dtype=bool)
-    if len(citing) == 0:
+    if len(citing) == 0 or len(author_code) == 0:
         return out
-    vocab: dict[str, int] = {}
-    codes = []
-    max_k = 0
-    for s in author_sets:
-        row = [vocab.setdefault(a, len(vocab)) for a in s]
-        codes.append(row)
-        if len(row) > max_k:
-            max_k = len(row)
-    if max_k == 0:
-        return out
-    if max_k <= 8:
-        pad = np.full((len(codes), max_k), -1, dtype=np.int64)
-        for i, row in enumerate(codes):
-            pad[i, : len(row)] = row
-        chunk = 1_000_000
-        for s in range(0, len(citing), chunk):
-            a = pad[citing[s : s + chunk]]
-            b = pad[cited[s : s + chunk]]
-            eq = (a[:, :, None] == b[:, None, :]) & (a[:, :, None] >= 0)
-            out[s : s + chunk] = eq.any(axis=(1, 2))
-    else:
-        sets = [frozenset(c) for c in codes]
-        for j in range(len(citing)):
-            out[j] = not sets[citing[j]].isdisjoint(sets[cited[j]])
+    n_codes = int(author_code.max()) + 1
+    n_auth = np.diff(author_ptr)
+    keys = np.sort(np.repeat(np.arange(len(n_auth)), n_auth) * n_codes + author_code)
+    pairs_end = np.cumsum(n_auth[citing])
+    bounds = np.searchsorted(pairs_end, np.arange(_SELF_EDGE_CHUNK, pairs_end[-1], _SELF_EDGE_CHUNK))
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(citing)]])):
+        k = n_auth[citing[lo:hi]]
+        edge = np.repeat(np.arange(lo, hi), k)
+        pos = np.repeat(author_ptr[citing[lo:hi]] - (np.cumsum(k) - k), k) + np.arange(len(edge))
+        probe = cited[edge] * n_codes + author_code[pos]
+        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        out[edge[keys[at] == probe]] = True
     return out
 
 
 def is_self_citation(edge: CitationEdge, corpus: Corpus) -> bool:
     """True iff the citing and cited articles share at least one author id."""
-    a = corpus.author_sets[corpus.id_index[edge.citing_id]]
-    b = corpus.author_sets[corpus.id_index[edge.cited_id]]
-    return not frozenset(a).isdisjoint(b)
+    a = corpus.article(edge.citing_id).author_ids
+    b = corpus.article(edge.cited_id).author_ids
+    return not a.isdisjoint(b)
 
 
 def _parse_article_row(row: list[str], lineno: int) -> tuple[str, int, str, str, str, tuple[str, ...]]:
@@ -231,7 +234,8 @@ def load_corpus(
     region_code: list[int] = []
     journal_vocab: dict[str, int] = {}
     journal_code: list[int] = []
-    author_sets: list[tuple[str, ...]] = []
+    author_names: list[str] = []
+    author_ptr: list[int] = [0]
 
     art_rows = 0
     reader = csv.reader(articles_source, delimiter="\t")
@@ -252,8 +256,11 @@ def load_corpus(
         field_code.append(field_vocab.setdefault(fld, len(field_vocab)))
         region_code.append(region_vocab.setdefault(region, len(region_vocab)))
         journal_code.append(journal_vocab.setdefault(journal, len(journal_vocab)))
-        author_sets.append(authors)
+        author_names.extend(authors)
+        author_ptr.append(len(author_names))
 
+    author_vocab = {a: c for c, a in enumerate(dict.fromkeys(author_names))}
+    author_code = np.fromiter(map(author_vocab.__getitem__, author_names), np.int32, len(author_names))
     pub_year = np.asarray(years, dtype=np.int32)
     citing: list[int] = []
     cited: list[int] = []
@@ -295,7 +302,9 @@ def load_corpus(
         regions=list(region_vocab),
         journal_code=np.asarray(journal_code, dtype=np.int32),
         journals=list(journal_vocab),
-        author_sets=author_sets,
+        author_ptr=np.asarray(author_ptr, dtype=np.int64),
+        author_code=author_code,
+        authors=list(author_vocab),
         citing=np.asarray(citing, dtype=np.int64),
         cited=np.asarray(cited, dtype=np.int64),
         span=(start, end),
@@ -327,6 +336,8 @@ def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
     with open(articles_path, "w", encoding="utf-8", newline="") as f:
         wr = csv.writer(f, delimiter="\t", lineterminator="\n")
         wr.writerow(ARTICLE_COLUMNS)
+        ptr = corpus.author_ptr.tolist()
+        names = [corpus.authors[c] for c in corpus.author_code.tolist()]
         for i, art_id in enumerate(corpus.ids):
             wr.writerow([
                 art_id,
@@ -334,7 +345,7 @@ def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
                 corpus.fields[corpus.field_code[i]],
                 corpus.regions[corpus.region_code[i]],
                 corpus.journals[corpus.journal_code[i]],
-                ";".join(corpus.author_sets[i]),
+                ";".join(names[ptr[i]:ptr[i + 1]]),
             ])
     with open(edges_path, "w", encoding="utf-8", newline="") as f:
         wr = csv.writer(f, delimiter="\t", lineterminator="\n")

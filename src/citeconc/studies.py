@@ -194,7 +194,7 @@ def _reference_scores(corpus: Corpus, cfg: StudyConfig):
 
     def score_fn(year: int):
         pop = np.concatenate([art_by_year[y] for y in range(year - length, year)])
-        lo, hi = np.searchsorted(ey, [year, year + 1])
+        lo, hi = np.searchsorted(ey, np.array([year, year + 1], dtype=ey.dtype))
         sel = eidx[lo:hi]
         raw = np.bincount(corpus.cited[sel], minlength=corpus.n_articles)[pop]
         if cfg.normalized:
@@ -386,7 +386,7 @@ def region_tail_shares(
         cited_low = shares(single)
         cited_top = shares(top)
 
-        lo, hi = np.searchsorted(ecited_year, [y, y + 1])
+        lo, hi = np.searchsorted(ecited_year, np.array([y, y + 1], dtype=ecited_year.dtype))
         year_edges = eidx[lo:hi]
         in_single = np.zeros(corpus.n_articles, dtype=bool)
         in_single[single] = True

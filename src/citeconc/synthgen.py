@@ -122,8 +122,14 @@ def generate(params: GenParams) -> Corpus:
     n_authors = rng.integers(params.authors_min, params.authors_max + 1, size=n_total)
     flat_regions = np.repeat(region_code, n_authors)
     flat_codes = pool_offset[flat_regions] + (rng.random(int(n_authors.sum())) * pool_size[flat_regions]).astype(np.int64)
-    bounds = np.cumsum(n_authors)[:-1]
-    author_lists = [list(dict.fromkeys(chunk.tolist())) for chunk in np.split(flat_codes, bounds)]
+    # Recode pool members so that codes ascend in the order of their names "a<member>".
+    members, flat_codes = np.unique(flat_codes, return_inverse=True)
+    names = [f"a{m}" for m in members.tolist()]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    flat_codes = np.argsort(by_name)[flat_codes]
+    first_draw = np.cumsum(n_authors) - n_authors
+    n_codes = max(len(names), 1)
+    author_keys = [np.repeat(np.arange(n_total, dtype=np.int64), n_authors) * n_codes + flat_codes]
 
     indeg = np.zeros(n_total, dtype=np.int64)
     citing_parts: list[np.ndarray] = []
@@ -177,19 +183,17 @@ def generate(params: GenParams) -> Corpus:
         indeg[:n_prior] += np.bincount(cited, minlength=n_prior)
 
         if params.self_citation_rate > 0:
+            # The citing article takes on the cited article's first drawn author, if any.
             sc = np.flatnonzero(rng.random(len(citing)) < params.self_citation_rate)
-            for e in sc:
-                src, dst = int(citing[e]), int(cited[e])
-                shared = author_lists[dst][0]
-                if shared not in author_lists[src]:
-                    author_lists[src].append(shared)
+            sc = sc[n_authors[cited[sc]] > 0]
+            author_keys.append(citing[sc] * n_codes + flat_codes[first_draw[cited[sc]]])
 
     citing = np.concatenate(citing_parts) if citing_parts else np.zeros(0, dtype=np.int64)
     cited = np.concatenate(cited_parts) if cited_parts else np.zeros(0, dtype=np.int64)
 
     width = max(6, len(str(n_total)))
     ids = [f"p{i:0{width}d}" for i in range(n_total)]
-    author_sets = [tuple(sorted(f"a{c}" for c in lst)) for lst in author_lists]
+    author_keys = np.unique(np.concatenate(author_keys))
 
     return Corpus(
         ids=ids,
@@ -200,7 +204,9 @@ def generate(params: GenParams) -> Corpus:
         regions=region_labels,
         journal_code=journal_code,
         journals=[f"J{j}" for j in range(params.n_journals)],
-        author_sets=author_sets,
+        author_ptr=np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))]),
+        author_code=author_keys % n_codes,
+        authors=[names[i] for i in by_name],
         citing=citing,
         cited=cited,
         span=params.span,

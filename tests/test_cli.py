@@ -237,13 +237,49 @@ def test_analyze_data_error_exit_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_console_script_installed():
+@pytest.mark.parametrize("extra", ["u5.study.pcts = 0.01,abc\n", "u5.study.top_pct = abc\n"])
+def test_analyze_non_numeric_pct_is_config_error(tmp_path, capsys, extra):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(analyze_config(out_dir, extra=extra))
+    assert main(["analyze", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["uncited", "region_removal", "region_tails", "top_shares"])
+@pytest.mark.parametrize("settings", [
+    ["study.approach = reference_based"],
+    ["study.approach = reference_based", "window.direction = backward"],
+    ["window.direction = backward"],
+])
+def test_analyze_forward_only_study_rejects_backward_window(tmp_path, capsys, kind, settings):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(
+        "corpus.scenario = stationary\n" + GEN_OVERRIDES + f"output.dir = {out_dir}\n"
+        f"studies = b\nb.type = {kind}\nb.regions.remove = Asia\n"
+        + "".join(f"b.{s}\n" for s in settings)
+    )
+    assert main(["analyze", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_console_script_installed(tmp_path):
+    import os
     import shutil
     import subprocess
+    import sys
 
     exe = shutil.which("citeconc")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "generate", "--scenario", "bogus", "--out", "/tmp/x"],
-                          capture_output=True, text=True)
+    if exe is not None:
+        cmd, env = [exe], None
+    else:
+        # Not installed: run the same entry point from the source tree.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        cmd = [sys.executable, "-m", "citeconc.cli"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(cmd + ["generate", "--scenario", "bogus", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1

@@ -1,8 +1,13 @@
-import io
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from citeconc import corpus as corpus_mod
 from citeconc.corpus import (
     CitationEdge,
     DataError,
@@ -81,6 +86,45 @@ def test_self_citation_by_shared_author(fixture_corpus):
     arts = ART_HEADER + "A\t2000\tF\tR\tJ\t\nB\t2001\tF\tR\tJ\t\n"
     c2 = make_corpus(arts, EDGE_HEADER + "B\tA\n", span=(2000, 2002))
     assert not is_self_citation(CitationEdge("B", "A"), c2)
+
+
+@st.composite
+def author_corpora(draw):
+    """Article/edge TSV text with 0-50 authors per article, the author set of
+    each article id, and a random subset mask."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.integers(1, 120))
+    rows, authors = [], {}
+    for i in range(n):
+        names = draw(st.lists(st.integers(0, pool - 1).map(lambda k: f"a{k}"), max_size=50))
+        authors[f"P{i}"] = frozenset(names)
+        rows.append(f"P{i}\t{draw(st.integers(2000, 2002))}\tF\tR\tJ\t{';'.join(names)}\n")
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    edges = "".join(f"P{a}\tP{b}\n" for a, b in pairs)
+    keep = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return ART_HEADER + "".join(rows), EDGE_HEADER + edges, authors, keep
+
+
+@settings(max_examples=80, deadline=None)
+@given(author_corpora(), st.sampled_from([1, 5, corpus_mod._SELF_EDGE_CHUNK]))
+def test_self_edge_matches_oracle_and_tables_round_trip(data, chunk):
+    arts, edges, authors, keep = data
+    with mock.patch.object(corpus_mod, "_SELF_EDGE_CHUNK", chunk):
+        c = make_corpus(arts, edges, span=(2000, 2002))
+        sub = c.subset(keep)
+    for corp in (c, sub):
+        for a in corp.ids:
+            assert corp.article(a).author_ids == authors[a]
+        for j in range(corp.n_edges):
+            edge = CitationEdge(corp.ids[corp.citing[j]], corp.ids[corp.cited[j]])
+            assert corp.self_edge[j] == is_self_citation(edge, corp)
+    with tempfile.TemporaryDirectory() as d:
+        a1, e1, a2, e2 = (os.path.join(d, f) for f in ("a1.tsv", "e1.tsv", "a2.tsv", "e2.tsv"))
+        write_tables(c, a1, e1)
+        write_tables(load_corpus_files(a1, e1, c.span), a2, e2)
+        for first, second in ((a1, a2), (e1, e2)):
+            with open(first, "rb") as f1, open(second, "rb") as f2:
+                assert f1.read() == f2.read()
 
 
 def test_round_trip(tmp_path, fixture_corpus):

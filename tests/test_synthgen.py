@@ -51,7 +51,9 @@ def test_same_seed_identical_corpora():
     assert np.array_equal(a.region_code, b.region_code)
     assert np.array_equal(a.citing, b.citing)
     assert np.array_equal(a.cited, b.cited)
-    assert a.author_sets == b.author_sets
+    assert np.array_equal(a.author_ptr, b.author_ptr)
+    assert np.array_equal(a.author_code, b.author_code)
+    assert a.authors == b.authors
     assert a.drops == b.drops
 
 
@@ -69,7 +71,7 @@ def test_structural_invariants():
     pairs = c.citing.astype(np.int64) * c.n_articles + c.cited
     assert len(np.unique(pairs)) == c.n_edges
     assert c.drops["clamped_refs"] > 0  # first-year articles have nothing to cite
-    assert all(len(s) >= 1 for s in c.author_sets)
+    assert (np.diff(c.author_ptr) >= 1).all()
 
 
 def test_edge_years_within_span():
@@ -86,6 +88,23 @@ def test_self_citations_present_only_when_enabled():
     # huge author pool + no injection: chance collisions only
     assert without.self_edge.mean() < 0.01
     assert with_self.self_edge.mean() > 10 * without.self_edge.mean()
+
+
+def test_self_edges_match_oracle_with_fifty_authors():
+    from citeconc.corpus import CitationEdge, is_self_citation
+
+    c = synthgen.generate(base_params(span=(1995, 1999), articles_per_year=(60,) * 5,
+                                      refs_per_article=(4.0,) * 5, authors_min=0, authors_max=50,
+                                      author_pool_scale=20.0, self_citation_rate=0.3, seed=3))
+    n_auth = np.diff(c.author_ptr)
+    assert n_auth.min() == 0 and n_auth.max() >= 50
+    # codes ascend within each article, in the order of the author names
+    for i in range(c.n_articles):
+        names = [c.authors[k] for k in c.author_code[c.author_ptr[i]:c.author_ptr[i + 1]]]
+        assert names == sorted(set(names))
+    oracle = [is_self_citation(CitationEdge(c.ids[i], c.ids[j]), c) for i, j in zip(c.citing, c.cited)]
+    assert c.self_edge.tolist() == oracle
+    assert 0 < sum(oracle) < c.n_edges
 
 
 def test_preferential_attachment_concentrates_citations():
