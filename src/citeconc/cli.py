@@ -175,28 +175,15 @@ def _run_study(corpus, spec: StudySpec) -> list[studies_mod.SeriesReport]:
             rep.study_id = f"{spec.name}_{fld}"
             reports.append(rep)
         return reports
-    work = corpus
-    if cfg.core_only and spec.kind != "uncited":
-        work = corpus_mod.filter_core_journals(work)
     if spec.kind == "uncited":
-        return [studies_mod.uncited_share_series(
-            corpus, cfg.window, exclude_self=cfg.exclude_self_citations, core_only=cfg.core_only,
-            study_id=spec.name)]
+        return [studies_mod.uncited_share_series(corpus, cfg, study_id=spec.name)]
     if spec.kind == "region_removal":
-        if cfg.region_removed is None:
-            raise ConfigError(f"{spec.name}: region_removal requires regions.remove")
-        return [studies_mod.region_removal_uncitedness(
-            work, cfg.region_removed, cfg.window, exclude_self=cfg.exclude_self_citations,
-            study_id=spec.name)]
+        return [studies_mod.region_removal_uncitedness(corpus, cfg, study_id=spec.name)]
     if spec.kind == "region_tails":
-        return [studies_mod.region_tail_shares(
-            work, cfg.window, exclude_self=cfg.exclude_self_citations,
-            top_pct=spec.top_pct, citing_level=spec.citing_level, study_id=spec.name)]
-    if spec.kind == "top_shares":
-        return [studies_mod.top_share_series(
-            work, cfg.window, list(spec.pcts), exclude_self=cfg.exclude_self_citations,
-            study_id=spec.name)]
-    raise ConfigError(f"{spec.name}: unknown study type {spec.kind!r}")
+        return [studies_mod.region_tail_shares(corpus, cfg, top_pct=spec.top_pct, citing_level=spec.citing_level,
+                                               study_id=spec.name)]
+    # top_shares: the config admits no other type
+    return [studies_mod.top_share_series(corpus, cfg, list(spec.pcts), study_id=spec.name)]
 
 
 def cmd_analyze(config_path: str) -> int:
@@ -243,9 +230,6 @@ def cmd_analyze(config_path: str) -> int:
                     "columns": rep.columns,
                     "config_hash": report_mod.config_hash(rep.config),
                 })
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -32,7 +32,6 @@ class ConfigError(Exception):
     pass
 
 
-STUDY_TYPES = ("gini", "uncited", "region_removal", "region_tails", "top_shares", "gini_by_field")
 FORWARD_ONLY = ("uncited", "region_removal", "region_tails", "top_shares")
 
 GLOBAL_KEYS = {
@@ -58,6 +57,22 @@ STUDY_KEYS = {
 
 # study-scoped keys may also appear globally as defaults
 DEFAULTABLE = STUDY_KEYS - {"type"}
+
+# The study-scoped keys each study type reads; any other is a config error,
+# and a global default applies only to the types that read it.
+_COMMON_KEYS = {"type", "study.approach", "window.direction", "window.length", "study.exclude_self", "study.core_only"}
+_GINI_KEYS = _COMMON_KEYS | {
+    "study.include_uncited", "window.drop_earliest_population", "regions.remove",
+    "normalize.enabled", "normalize.mics_per_year", "normalize.rho_scope",
+}
+STUDY_TYPE_KEYS = {
+    "gini": _GINI_KEYS | {"study.field"},
+    "uncited": _COMMON_KEYS,
+    "region_removal": _COMMON_KEYS | {"regions.remove"},
+    "region_tails": _COMMON_KEYS | {"study.top_pct", "study.citing_level"},
+    "top_shares": _COMMON_KEYS | {"study.pcts"},
+    "gini_by_field": _GINI_KEYS,
+}
 
 
 @dataclass
@@ -168,18 +183,21 @@ def build_run(raw: dict[str, str]) -> RunConfig:
     if not study_names:
         raise ConfigError("no studies configured (set `studies = name1 name2 ...`)")
     for name in study_names:
+        kind = raw.get(f"{name}.type", "gini")
+        if kind not in STUDY_TYPE_KEYS:
+            raise ConfigError(f"{name}.type: unknown study type {kind!r}; available: {', '.join(STUDY_TYPE_KEYS)}")
         scoped = {k: raw[f"{name}.{k}"] for k in STUDY_KEYS if f"{name}.{k}" in raw}
-        for k in DEFAULTABLE:
+        unread = sorted(set(scoped) - STUDY_TYPE_KEYS[kind])
+        if unread:
+            raise ConfigError(f"{name}.{unread[0]}: not read by {kind} studies")
+        for k in STUDY_TYPE_KEYS[kind] & DEFAULTABLE:
             if k not in scoped and k in raw:
                 scoped[k] = raw[k]
-        run.studies.append(_build_study(name, scoped))
+        run.studies.append(_build_study(name, kind, scoped))
     return run
 
 
-def _build_study(name: str, scoped: dict[str, str]) -> StudySpec:
-    kind = scoped.get("type", "gini")
-    if kind not in STUDY_TYPES:
-        raise ConfigError(f"{name}.type: unknown study type {kind!r}; available: {', '.join(STUDY_TYPES)}")
+def _build_study(name: str, kind: str, scoped: dict[str, str]) -> StudySpec:
     approach = scoped.get("study.approach", CITATION_BASED)
     if approach not in (CITATION_BASED, REFERENCE_BASED):
         raise ConfigError(f"{name}.study.approach: unknown approach {approach!r}")
@@ -214,6 +232,8 @@ def _build_study(name: str, scoped: dict[str, str]) -> StudySpec:
         raise ConfigError(f"{name}: {e}") from None
     if kind in FORWARD_ONLY and direction != FORWARD:
         raise ConfigError(f"{name}: {kind} requires a forward window (study.approach = {CITATION_BASED})")
+    if kind == "region_removal" and cfg.region_removed is None:
+        raise ConfigError(f"{name}: region_removal requires regions.remove")
     pcts = tuple(_float(p, f"{name}.study.pcts") for p in scoped.get("study.pcts", "0.01,0.05,0.10").split(","))
     for p in pcts:
         if not 0 < p <= 1:

@@ -50,6 +50,8 @@ class Corpus:
     Authors are in CSR form: article ``i`` has the distinct authors ``authors[c]``
     for ``c`` in ``author_code[author_ptr[i]:author_ptr[i + 1]]``, listed in
     ascending order of author name, the order :func:`write_tables` emits.
+    ``self_edge`` flags the edges whose two articles share an author; the
+    builders compute it with ``_compute_self_edges`` and :meth:`subset` slices it.
 
     Arrays are frozen after construction; every downstream operation treats the
     corpus as read-only, so unrestricted concurrent reads are safe.
@@ -71,6 +73,7 @@ class Corpus:
         authors: list[str],
         citing: np.ndarray,
         cited: np.ndarray,
+        self_edge: np.ndarray,
         span: tuple[int, int],
         drops: dict[str, int],
         rows_read: tuple[int, int] = (0, 0),
@@ -96,7 +99,7 @@ class Corpus:
         self.rows_read = rows_read
         self.citing_year = self.pub_year[self.citing] if len(self.citing) else np.zeros(0, np.int32)
         self.cited_year = self.pub_year[self.cited] if len(self.cited) else np.zeros(0, np.int32)
-        self.self_edge = _compute_self_edges(self.author_ptr, self.author_code, self.citing, self.cited)
+        self.self_edge = np.asarray(self_edge, dtype=bool)
         for arr in (self.pub_year, self.field_code, self.region_code, self.journal_code, self.author_ptr,
                     self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.self_edge):
             arr.flags.writeable = False
@@ -152,6 +155,7 @@ class Corpus:
             authors=self.authors,
             citing=remap[self.citing[edge_keep]],
             cited=remap[self.cited[edge_keep]],
+            self_edge=self.self_edge[edge_keep],
             span=self.span,
             drops={"filtered_endpoint": int(self.n_edges - int(edge_keep.sum()))},
         )
@@ -261,6 +265,7 @@ def load_corpus(
 
     author_vocab = {a: c for c, a in enumerate(dict.fromkeys(author_names))}
     author_code = np.fromiter(map(author_vocab.__getitem__, author_names), np.int32, len(author_names))
+    author_ptr = np.asarray(author_ptr, dtype=np.int64)
     pub_year = np.asarray(years, dtype=np.int32)
     citing: list[int] = []
     cited: list[int] = []
@@ -293,6 +298,7 @@ def load_corpus(
         citing.append(i)
         cited.append(j)
 
+    citing, cited = np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
     return Corpus(
         ids=ids,
         pub_year=pub_year,
@@ -302,11 +308,12 @@ def load_corpus(
         regions=list(region_vocab),
         journal_code=np.asarray(journal_code, dtype=np.int32),
         journals=list(journal_vocab),
-        author_ptr=np.asarray(author_ptr, dtype=np.int64),
+        author_ptr=author_ptr,
         author_code=author_code,
         authors=list(author_vocab),
-        citing=np.asarray(citing, dtype=np.int64),
-        cited=np.asarray(cited, dtype=np.int64),
+        citing=citing,
+        cited=cited,
+        self_edge=_compute_self_edges(author_ptr, author_code, citing, cited),
         span=(start, end),
         drops=drops,
         rows_read=(art_rows, edge_rows),

@@ -2,6 +2,17 @@
 backward approaches, uncitedness series, region-removal counterfactuals,
 regional tail shares, and top-x% share series.
 
+Every series is a reducer over one score table. `_score_table` takes a corpus
+and a `StudyConfig` and yields one row per study year: the year, the indices of
+its population, their raw in-window citation counts and their scores. Core
+journals, region removal and the field filter are applied once, in `_prepare`;
+the forward/backward fork lives only in the table. A forward row is the
+publication-year cohort; a backward row is the population published in the W
+years before the reference year, scored by the references made in that year.
+Raw-count series (uncited, top shares, region removal) build the table with
+`normalized=False` and so never normalise. Region removal reduces two tables,
+the corpus and its residual, to uncited shares and compares them.
+
 Every series emits one row per candidate year; years that cannot be scored get
 a null metric and a reason code instead of being dropped, so emitted series
 stay aligned for plotting.
@@ -11,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -36,6 +47,12 @@ REFERENCE_BASED = "reference_based"
 REASON_EMPTY = "empty_cohort"
 REASON_ZERO_TOTAL = "zero_total"
 REASON_ZERO_BASELINE = "zero_baseline"
+
+GINI_COLUMNS = ["year", "n", "zero_count", "gini", "mean_raw_citations", "reason"]
+TAIL_COLUMNS = ["cited_low", "cited_top", "citing_low", "citing_top"]
+
+# (year, population indices, raw in-window counts, scores) of one study year.
+Row = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,23 +113,25 @@ class SeriesReport:
         return [r.get(name) for r in self.rows]
 
 
-def _prepare(corpus: Corpus, cfg: StudyConfig) -> Corpus:
+def _prepare(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray]:
+    """The corpus a study reads (core journals only, region removed) and the
+    indices of its articles in the configured field, stably sorted by
+    publication year: each year's articles in ascending index order."""
     work = corpus
     if cfg.core_only:
         work = filter_core_journals(work)
     if cfg.region_removed is not None:
-        work = _remove_region(work, cfg.region_removed)
-    return work
-
-
-def _remove_region(corpus: Corpus, region: str) -> Corpus:
-    if region not in corpus.regions:
-        raise ValueError(f"unknown region {region!r}")
-    rcode = corpus.regions.index(region)
-    residual = corpus.subset(corpus.region_code != rcode)
-    if residual.n_articles == 0:
-        raise ValueError("empty residual corpus")
-    return residual
+        if cfg.region_removed not in work.regions:
+            raise ValueError(f"unknown region {cfg.region_removed!r}")
+        work = work.subset(work.region_code != work.regions.index(cfg.region_removed))
+        if work.n_articles == 0:
+            raise ValueError("empty residual corpus")
+    order = np.argsort(work.pub_year, kind="stable")
+    if cfg.field_filter is not None:
+        if cfg.field_filter not in work.fields:
+            raise ValueError(f"unknown field {cfg.field_filter!r}")
+        order = order[work.field_code[order] == work.fields.index(cfg.field_filter)]
+    return work, order
 
 
 def _norm_options(cfg: StudyConfig) -> NormalizeOptions:
@@ -123,41 +142,6 @@ def _norm_options(cfg: StudyConfig) -> NormalizeOptions:
     )
 
 
-def _cohort_masks(corpus: Corpus, cfg: StudyConfig) -> np.ndarray:
-    mask = np.ones(corpus.n_articles, dtype=bool)
-    if cfg.field_filter is not None:
-        if cfg.field_filter not in corpus.fields:
-            raise ValueError(f"unknown field {cfg.field_filter!r}")
-        mask &= corpus.field_code == corpus.fields.index(cfg.field_filter)
-    return mask
-
-
-def _raw_in_window_counts(corpus: Corpus, length: int, exclude_self: bool) -> np.ndarray:
-    mask = in_window_edge_mask(corpus, length, exclude_self)
-    return np.bincount(corpus.cited[mask], minlength=corpus.n_articles)
-
-
-def _gini_row(year: int, scores: np.ndarray, raw: np.ndarray, include_uncited: bool) -> dict[str, Any]:
-    row: dict[str, Any] = {
-        "year": year,
-        "n": int(len(scores)),
-        "zero_count": int(np.count_nonzero(scores == 0)),
-        "gini": None,
-        "mean_raw_citations": None,
-        "reason": None,
-    }
-    if len(scores) == 0:
-        row["reason"] = REASON_EMPTY
-        return row
-    row["mean_raw_citations"] = float(raw.mean())
-    included = scores if include_uncited else scores[scores > 0]
-    if len(included) == 0 or included.sum() <= 0:
-        row["reason"] = REASON_ZERO_TOTAL
-        return row
-    row["gini"] = concentration.gini(concentration.Distribution(included))
-    return row
-
-
 def backward_reference_years(corpus: Corpus, cfg: StudyConfig) -> list[int]:
     start, end = corpus.span
     first = start + cfg.window.length
@@ -166,75 +150,82 @@ def backward_reference_years(corpus: Corpus, cfg: StudyConfig) -> list[int]:
     return list(range(first, end + 1))
 
 
-def _reference_scores(corpus: Corpus, cfg: StudyConfig):
-    """Per-reference-year normalized and raw incoming counts for the backward study.
+def _score_table(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray, Iterator[Row]]:
+    """The prepared corpus, its in-window edge indices (ascending) and the lazy
+    rows of the study years, the population builder every series reduces over."""
+    work, order = _prepare(corpus, cfg)
+    edges = np.flatnonzero(in_window_edge_mask(work, cfg.window.length, cfg.exclude_self_citations))
+    return work, edges, _rows(work, order, edges, cfg)
 
-    Returns (years, score_fn) where score_fn(year) -> (scores, raw) arrays over
-    that year's cited population indices.
-    """
+
+def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
+    start, end = work.span
     length = cfg.window.length
-    excl = cfg.exclude_self_citations
-    mask = in_window_edge_mask(corpus, length, exclude_self=excl)
-    eidx = np.flatnonzero(mask)
-    ey = corpus.citing_year[eidx]
-    order = np.argsort(ey, kind="stable")
-    eidx = eidx[order]
-    ey = ey[order]
-    mref = field_mean_reference_table(corpus, length, exclude_self=excl)
-    start = corpus.span[0]
-    wts = None
+    # Articles published in [a, b) are order[at[a - start]:at[b - start]].
+    at = np.searchsorted(work.pub_year[order], np.arange(start, end + 2, dtype=work.pub_year.dtype))
+    if cfg.approach == CITATION_BASED:
+        years = eligible_pub_years_forward(work.span, cfg.window)
+        raw = np.bincount(work.cited[edges], minlength=work.n_articles)
+        scores = raw.astype(np.float64)
+        # Field means are summed over the pooled cohorts in ascending article order.
+        pooled = np.sort(order[:at[len(years)]])
+        if cfg.normalized and len(pooled):
+            scores[pooled] = nics_array(work, pooled, cfg.window, _norm_options(cfg))
+        for y in years:
+            pop = order[at[y - start]:at[y - start + 1]]
+            yield y, pop, raw[pop], scores[pop]
+        return
+    edges = edges[np.argsort(work.citing_year[edges], kind="stable")]
+    citing_year = work.citing_year[edges]
+    edge_at = np.searchsorted(citing_year, np.arange(start, end + 2, dtype=citing_year.dtype))
     if cfg.normalized:
-        denom = mref[corpus.field_code[corpus.citing[eidx]], corpus.citing_year[eidx] - start]
-        wts = 1.0 / denom
-
-    art_by_year = {
-        y: np.flatnonzero((corpus.pub_year == y) & _cohort_masks(corpus, cfg))
-        for y in range(corpus.span[0], corpus.span[1] + 1)
-    }
-
-    def score_fn(year: int):
-        pop = np.concatenate([art_by_year[y] for y in range(year - length, year)])
-        lo, hi = np.searchsorted(ey, np.array([year, year + 1], dtype=ey.dtype))
-        sel = eidx[lo:hi]
-        raw = np.bincount(corpus.cited[sel], minlength=corpus.n_articles)[pop]
+        mref = field_mean_reference_table(work, length, exclude_self=cfg.exclude_self_citations)
+        weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
+    for y in backward_reference_years(work, cfg):
+        pop = order[at[y - length - start]:at[y - start]]
+        lo, hi = edge_at[y - start], edge_at[y - start + 1]
+        cited = work.cited[edges[lo:hi]]
+        raw = np.bincount(cited, minlength=work.n_articles)[pop]
         if cfg.normalized:
-            scores = np.bincount(corpus.cited[sel], weights=wts[lo:hi], minlength=corpus.n_articles)[pop]
+            scores = np.bincount(cited, weights=weights[lo:hi], minlength=work.n_articles)[pop]
         else:
             scores = raw.astype(np.float64)
-        return scores, raw
+        yield y, pop, raw, scores
 
-    return backward_reference_years(corpus, cfg), score_fn
+
+def _require_forward(cfg: StudyConfig) -> None:
+    if cfg.window.direction != FORWARD:
+        raise ValueError("forward window required")
+
+
+def _row(year: int, raw: np.ndarray, scores: np.ndarray, **metrics) -> dict[str, Any]:
+    """Columns every per-year series shares, with the given metrics still null."""
+    return {
+        "year": year,
+        "n": len(scores),
+        "zero_count": int(np.count_nonzero(scores == 0)),
+        "mean_raw_citations": float(raw.mean()) if len(raw) else None,
+        "reason": None if len(raw) else REASON_EMPTY,
+        **metrics,
+    }
+
+
+def _gini_row(year: int, raw: np.ndarray, scores: np.ndarray, include_uncited: bool) -> dict[str, Any]:
+    row = _row(year, raw, scores, gini=None)
+    included = scores if include_uncited else scores[scores > 0]
+    if row["reason"] is None and included.sum() <= 0:
+        row["reason"] = REASON_ZERO_TOTAL
+    elif row["reason"] is None:
+        row["gini"] = concentration.gini(concentration.Distribution(included))
+    return row
 
 
 def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
     """Per-year Gini of the configured score distribution."""
-    work = _prepare(corpus, cfg)
     sid = study_id or f"gini_{cfg.approach}_w{cfg.window.length}_{cfg.flags()}"
-    report = SeriesReport(
-        study_id=sid,
-        config=cfg.echo(),
-        columns=["year", "n", "zero_count", "gini", "mean_raw_citations", "reason"],
-    )
-    if cfg.approach == CITATION_BASED:
-        years = eligible_pub_years_forward(work.span, cfg.window)
-        cohort_mask = _cohort_masks(work, cfg)
-        raw = _raw_in_window_counts(work, cfg.window.length, cfg.exclude_self_citations)
-        pooled = cohort_mask & np.isin(work.pub_year, list(years))
-        pooled_idx = np.flatnonzero(pooled)
-        if cfg.normalized and len(pooled_idx):
-            scores_pooled = nics_array(work, pooled_idx, cfg.window, _norm_options(cfg))
-            scores = np.zeros(work.n_articles)
-            scores[pooled_idx] = scores_pooled
-        else:
-            scores = raw.astype(np.float64)
-        for y in years:
-            members = np.flatnonzero(pooled & (work.pub_year == y))
-            report.rows.append(_gini_row(y, scores[members], raw[members], cfg.include_uncited))
-    else:
-        years, score_fn = _reference_scores(work, cfg)
-        for y in years:
-            scores, raw = score_fn(y)
-            report.rows.append(_gini_row(y, scores, raw, cfg.include_uncited))
+    report = SeriesReport(study_id=sid, config=cfg.echo(), columns=list(GINI_COLUMNS))
+    _, _, rows = _score_table(corpus, cfg)
+    report.rows = [_gini_row(y, raw, scores, cfg.include_uncited) for y, _, raw, scores in rows]
     return report
 
 
@@ -246,85 +237,61 @@ def end_to_end_change(report: SeriesReport) -> float:
     return float(vals[-1] - vals[0])
 
 
-def uncited_share_series(
-    corpus: Corpus,
-    window: WindowSpec,
-    exclude_self: bool = False,
-    core_only: bool = False,
-    study_id: str | None = None,
-) -> SeriesReport:
+def _uncited_rows(corpus: Corpus, cfg: StudyConfig) -> list[dict[str, Any]]:
+    _require_forward(cfg)
+    _, _, rows = _score_table(corpus, replace(cfg, normalized=False))
+    out = []
+    for y, _, raw, _ in rows:
+        row = _row(y, raw, raw, uncited_share=None)
+        if len(raw):
+            row["uncited_share"] = row["zero_count"] / len(raw)
+        out.append(row)
+    return out
+
+
+def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
     """Fraction of each publication-year cohort with zero in-window citations."""
-    if window.direction != FORWARD:
-        raise ValueError("forward window required")
-    work = filter_core_journals(corpus) if core_only else corpus
-    sid = study_id or f"uncited_citation_based_w{window.length}_{'s' if exclude_self else ''}{'c' if core_only else ''}"
-    report = SeriesReport(
-        study_id=sid,
-        config={"window.length": window.length, "exclude_self": exclude_self, "core_only": core_only},
+    length, excl, core = cfg.window.length, cfg.exclude_self_citations, cfg.core_only
+    return SeriesReport(
+        study_id=study_id or f"uncited_citation_based_w{length}_{'s' if excl else ''}{'c' if core else ''}",
+        config={"window.length": length, "exclude_self": excl, "core_only": core},
         columns=["year", "n", "zero_count", "uncited_share", "mean_raw_citations", "reason"],
+        rows=_uncited_rows(corpus, cfg),
     )
-    raw = _raw_in_window_counts(work, window.length, exclude_self)
-    for y in eligible_pub_years_forward(work.span, window):
-        members = np.flatnonzero(work.pub_year == y)
-        row: dict[str, Any] = {
-            "year": y,
-            "n": int(len(members)),
-            "zero_count": int(np.count_nonzero(raw[members] == 0)),
-            "uncited_share": None,
-            "mean_raw_citations": None,
-            "reason": None,
-        }
-        if len(members) == 0:
-            row["reason"] = REASON_EMPTY
-        else:
-            row["uncited_share"] = float(np.count_nonzero(raw[members] == 0) / len(members))
-            row["mean_raw_citations"] = float(raw[members].mean())
-        report.rows.append(row)
-    return report
 
 
-def region_removal_uncitedness(
-    corpus: Corpus,
-    region: str,
-    window: WindowSpec,
-    exclude_self: bool = False,
-    study_id: str | None = None,
-) -> SeriesReport:
-    """Relative change in per-year uncited share when a region's articles and
-    all their outgoing references are removed from the corpus."""
-    residual = _remove_region(corpus, region)
-    base = uncited_share_series(corpus, window, exclude_self=exclude_self)
-    removed = uncited_share_series(residual, window, exclude_self=exclude_self)
-    removed_by_year = {r["year"]: r for r in removed.rows}
-    sid = study_id or f"region_removal_{region}_w{window.length}"
+def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+    """Relative change in per-year uncited share when the region
+    `cfg.region_removed`'s articles and all their outgoing references are
+    removed from the corpus."""
+    region = cfg.region_removed
+    base = _uncited_rows(corpus, replace(cfg, region_removed=None))
+    removed = _uncited_rows(corpus, cfg)
     report = SeriesReport(
-        study_id=sid,
-        config={"region": region, "window.length": window.length, "exclude_self": exclude_self},
+        study_id=study_id or f"region_removal_{region}_w{cfg.window.length}",
+        config={"region": region, "window.length": cfg.window.length, "exclude_self": cfg.exclude_self_citations},
         columns=["year", "baseline_share", "removed_share", "relative_change", "reason"],
     )
-    for b in base.rows:
-        r = removed_by_year.get(b["year"])
+    for b, r in zip(base, removed):
         row: dict[str, Any] = {
             "year": b["year"],
             "baseline_share": b["uncited_share"],
-            "removed_share": r["uncited_share"] if r else None,
+            "removed_share": r["uncited_share"],
             "relative_change": None,
-            "reason": None,
+            "reason": b["reason"] or r["reason"],
         }
-        if b["reason"] or r is None or r["reason"]:
-            row["reason"] = b["reason"] or (r["reason"] if r else REASON_EMPTY)
-        elif b["uncited_share"] == 0:
-            row["reason"] = REASON_ZERO_BASELINE
-        else:
-            row["relative_change"] = (r["uncited_share"] - b["uncited_share"]) / b["uncited_share"]
+        if row["reason"] is None:
+            if b["uncited_share"] == 0:
+                row["reason"] = REASON_ZERO_BASELINE
+            else:
+                row["relative_change"] = (r["uncited_share"] - b["uncited_share"]) / b["uncited_share"]
         report.rows.append(row)
     return report
 
 
 def region_tail_shares(
     corpus: Corpus,
-    window: WindowSpec,
-    exclude_self: bool = True,
+    cfg: StudyConfig,
     top_pct: float = 0.01,
     citing_level: str = "edge",
     study_id: str | None = None,
@@ -332,138 +299,91 @@ def region_tail_shares(
     """Per-year regional shares at the tails of the citation distribution.
 
     cited_low / cited_top: the region's share of single-cited articles and of
-    the top-pct articles by normalized score. citing_low / citing_top: the
-    region's share of the citations that go to those two groups ("edge" level)
-    or of the distinct articles providing them ("article" level).
+    the top-pct articles by score. citing_low / citing_top: the region's share
+    of the citations that go to those two groups ("edge" level) or of the
+    distinct articles providing them ("article" level).
     """
-    if window.direction != FORWARD:
-        raise ValueError("forward window required")
+    _require_forward(cfg)
     if citing_level not in ("edge", "article"):
         raise ValueError("citing_level must be 'edge' or 'article'")
-    sid = study_id or f"region_tails_w{window.length}"
     report = SeriesReport(
-        study_id=sid,
-        config={"window.length": window.length, "exclude_self": exclude_self,
+        study_id=study_id or f"region_tails_w{cfg.window.length}",
+        config={"window.length": cfg.window.length, "exclude_self": cfg.exclude_self_citations,
                 "top_pct": top_pct, "citing_level": citing_level},
-        columns=["year", "region", "cited_low", "cited_top", "citing_low", "citing_top", "reason"],
+        columns=["year", "region", *TAIL_COLUMNS, "reason"],
     )
-    years = eligible_pub_years_forward(corpus.span, window)
-    raw = _raw_in_window_counts(corpus, window.length, exclude_self)
-    pooled_idx = np.flatnonzero(np.isin(corpus.pub_year, list(years)))
-    scores = np.zeros(corpus.n_articles)
-    if len(pooled_idx):
-        scores[pooled_idx] = nics_array(
-            corpus, pooled_idx, WindowSpec(FORWARD, window.length),
-            NormalizeOptions(exclude_self=exclude_self),
-        )
-    ids_arr = np.asarray(corpus.ids)
-    emask = in_window_edge_mask(corpus, window.length, exclude_self)
-    eidx = np.flatnonzero(emask)
-    ecited_year = corpus.cited_year[eidx]
-    order = np.argsort(ecited_year, kind="stable")
-    eidx = eidx[order]
-    ecited_year = ecited_year[order]
-    nreg = len(corpus.regions)
+    work, edges, rows = _score_table(corpus, cfg)
+    start = work.span[0]
+    ids = np.asarray(work.ids)
+    edges = edges[np.argsort(work.cited_year[edges], kind="stable")]
+    cited_year = work.cited_year[edges]
+    edge_at = np.searchsorted(cited_year, np.arange(start, work.span[1] + 2, dtype=cited_year.dtype))
+    nreg = len(work.regions)
 
-    def shares(article_idx: np.ndarray) -> np.ndarray | None:
+    def shares(article_idx: np.ndarray) -> list[float | None]:
         if len(article_idx) == 0:
-            return None
-        counts = np.bincount(corpus.region_code[article_idx], minlength=nreg)
-        return counts / counts.sum()
+            return [None] * nreg
+        counts = np.bincount(work.region_code[article_idx], minlength=nreg)
+        return (counts / counts.sum()).tolist()
 
-    for y in years:
-        cohort = np.flatnonzero(corpus.pub_year == y)
-        if len(cohort) == 0:
-            for region in corpus.regions:
-                report.rows.append({"year": y, "region": region, "cited_low": None,
-                                    "cited_top": None, "citing_low": None,
-                                    "citing_top": None, "reason": REASON_EMPTY})
-            continue
-        single = cohort[raw[cohort] == 1]
-        k = math.ceil(top_pct * len(cohort))
-        order_c = np.lexsort((ids_arr[cohort], -scores[cohort]))
-        top = cohort[order_c[:k]]
-        cited_low = shares(single)
-        cited_top = shares(top)
-
-        lo, hi = np.searchsorted(ecited_year, np.array([y, y + 1], dtype=ecited_year.dtype))
-        year_edges = eidx[lo:hi]
-        in_single = np.zeros(corpus.n_articles, dtype=bool)
-        in_single[single] = True
-        in_top = np.zeros(corpus.n_articles, dtype=bool)
-        in_top[top] = True
-        low_edges = year_edges[in_single[corpus.cited[year_edges]]]
-        top_edges = year_edges[in_top[corpus.cited[year_edges]]]
-        if citing_level == "edge":
-            citing_low = shares(corpus.citing[low_edges])
-            citing_top = shares(corpus.citing[top_edges])
-        else:
-            citing_low = shares(np.unique(corpus.citing[low_edges]))
-            citing_top = shares(np.unique(corpus.citing[top_edges]))
-
-        for rcode, region in enumerate(corpus.regions):
-            row: dict[str, Any] = {
-                "year": y,
-                "region": region,
-                "cited_low": float(cited_low[rcode]) if cited_low is not None else None,
-                "cited_top": float(cited_top[rcode]) if cited_top is not None else None,
-                "citing_low": float(citing_low[rcode]) if citing_low is not None else None,
-                "citing_top": float(citing_top[rcode]) if citing_top is not None else None,
-                "reason": "no_single_cited" if cited_low is None else None,
-            }
+    for y, cohort, raw, scores in rows:
+        year_edges = edges[edge_at[y - start]:edge_at[y - start + 1]]
+        single = cohort[raw == 1]
+        top = cohort[np.lexsort((ids[cohort], -scores))[:math.ceil(top_pct * len(cohort))]]
+        cols = [shares(single), shares(top)]
+        for group in (single, top):
+            citing = work.citing[year_edges[np.isin(work.cited[year_edges], group)]]
+            cols.append(shares(np.unique(citing) if citing_level == "article" else citing))
+        reason = REASON_EMPTY if len(cohort) == 0 else "no_single_cited" if len(single) == 0 else None
+        for rcode, region in enumerate(work.regions):
+            row: dict[str, Any] = {"year": y, "region": region, "reason": reason}
+            row.update((name, col[rcode]) for name, col in zip(TAIL_COLUMNS, cols))
             report.rows.append(row)
     return report
 
 
 def top_share_series(
     corpus: Corpus,
-    window: WindowSpec,
+    cfg: StudyConfig,
     pcts: list[float],
-    exclude_self: bool = False,
     study_id: str | None = None,
 ) -> SeriesReport:
     """Per-year share of raw in-window citations held by the top-x% articles."""
-    if window.direction != FORWARD:
-        raise ValueError("forward window required")
+    _require_forward(cfg)
     pct_cols = [f"top_{p:g}" for p in pcts]
-    sid = study_id or f"top_shares_w{window.length}"
     report = SeriesReport(
-        study_id=sid,
-        config={"window.length": window.length, "pcts": list(pcts), "exclude_self": exclude_self},
+        study_id=study_id or f"top_shares_w{cfg.window.length}",
+        config={"window.length": cfg.window.length, "pcts": list(pcts), "exclude_self": cfg.exclude_self_citations},
         columns=["year", "n", "zero_count"] + pct_cols + ["mean_raw_citations", "reason"],
     )
-    raw = _raw_in_window_counts(corpus, window.length, exclude_self)
-    for y in eligible_pub_years_forward(corpus.span, window):
-        members = np.flatnonzero(corpus.pub_year == y)
-        vals = raw[members].astype(np.float64)
-        row: dict[str, Any] = {
-            "year": y,
-            "n": int(len(members)),
-            "zero_count": int(np.count_nonzero(vals == 0)),
-            "mean_raw_citations": float(vals.mean()) if len(vals) else None,
-            "reason": None,
-        }
-        if len(vals) == 0:
-            row["reason"] = REASON_EMPTY
-            for c in pct_cols:
-                row[c] = None
-        elif vals.sum() == 0:
+    _, _, rows = _score_table(corpus, replace(cfg, normalized=False))
+    for y, _, raw, vals in rows:
+        row = _row(y, raw, vals, **dict.fromkeys(pct_cols))
+        if row["reason"] is None and vals.sum() == 0:
             row["reason"] = REASON_ZERO_TOTAL
-            for c in pct_cols:
-                row[c] = None
-        else:
+        elif row["reason"] is None:
             d = concentration.Distribution(vals)
-            for c, p in zip(pct_cols, pcts):
-                row[c] = concentration.top_share(d, p)
+            row.update((c, concentration.top_share(d, p)) for c, p in zip(pct_cols, pcts))
         report.rows.append(row)
     return report
 
 
 def gini_by_field(corpus: Corpus, cfg: StudyConfig) -> dict[str, SeriesReport]:
-    """gini_series restricted to each field present in the corpus."""
-    present = sorted({corpus.fields[c] for c in np.unique(corpus.field_code)}) if corpus.n_articles else []
-    out = {}
-    for f in present:
-        fcfg = replace(cfg, field_filter=f)
-        out[f] = gini_series(corpus, fcfg, study_id=f"gini_field_{f}_{cfg.approach}_w{cfg.window.length}_{cfg.flags()}")
+    """gini_series restricted to each field present in the corpus: one table,
+    each year's population split by field."""
+    present = sorted((corpus.fields[c], c) for c in np.unique(corpus.field_code))
+    out = {
+        f: SeriesReport(
+            study_id=f"gini_field_{f}_{cfg.approach}_w{cfg.window.length}_{cfg.flags()}",
+            config=replace(cfg, field_filter=f).echo(),
+            columns=list(GINI_COLUMNS),
+        )
+        for f, _ in present
+    }
+    work, _, rows = _score_table(corpus, replace(cfg, field_filter=None))
+    for y, pop, raw, scores in rows:
+        pop_field = work.field_code[pop]
+        for f, code in present:
+            member = pop_field == code
+            out[f].rows.append(_gini_row(y, raw[member], scores[member], cfg.include_uncited))
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from citeconc.corpus import Corpus
+from citeconc.corpus import Corpus, _compute_self_edges
 
 
 def linear_schedule(start: float, end: float, n: int) -> tuple[float, ...]:
@@ -194,6 +194,8 @@ def generate(params: GenParams) -> Corpus:
     width = max(6, len(str(n_total)))
     ids = [f"p{i:0{width}d}" for i in range(n_total)]
     author_keys = np.unique(np.concatenate(author_keys))
+    author_ptr = np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))])
+    author_code = author_keys % n_codes
 
     return Corpus(
         ids=ids,
@@ -204,11 +206,12 @@ def generate(params: GenParams) -> Corpus:
         regions=region_labels,
         journal_code=journal_code,
         journals=[f"J{j}" for j in range(params.n_journals)],
-        author_ptr=np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))]),
-        author_code=author_keys % n_codes,
+        author_ptr=author_ptr,
+        author_code=author_code,
         authors=[names[i] for i in by_name],
         citing=citing,
         cited=cited,
+        self_edge=_compute_self_edges(author_ptr, author_code, citing, cited),
         span=params.span,
         drops={"clamped_refs": clamped},
     )

@@ -148,17 +148,18 @@ def test_c5_four_approach_divergence(declining_corpus):
 def test_c6_uncitedness_monotone(declining_corpus):
     for length in (2, 5, 10):
         w = WindowSpec("forward", length)
-        rows = uncited_share_series(declining_corpus, w).rows
+        rows = uncited_share_series(declining_corpus, StudyConfig(window=w)).rows
         shares = [r["uncited_share"] for r in rows]
         assert all(b < a for a, b in zip(shares, shares[1:])), f"W={length}"
-        noself = uncited_share_series(declining_corpus, w, exclude_self=True).rows
+        noself = uncited_share_series(declining_corpus, StudyConfig(window=w, exclude_self_citations=True)).rows
         for a, b in zip(rows, noself):
             assert b["uncited_share"] >= a["uncited_share"]
 
 
 @criterion(7, "removing the reference-rich rising region raises residual uncitedness")
 def test_c7_region_removal(region_shift_corpus):
-    rows = region_removal_uncitedness(region_shift_corpus, "Asia", WindowSpec("forward", 5)).rows
+    rows = region_removal_uncitedness(
+        region_shift_corpus, StudyConfig(window=WindowSpec("forward", 5), region_removed="Asia")).rows
     late = [r["relative_change"] for r in rows[-5:]]
     assert all(v is not None and v > 0 for v in late)
 
@@ -172,7 +173,8 @@ def test_c7_region_removal(region_shift_corpus):
     )
     edges = "citing_id\tcited_id\nX2\tY1\n"
     c = make_corpus(arts, edges, span=(2000, 2002))
-    by_year = {r["year"]: r for r in region_removal_uncitedness(c, "RegA", WindowSpec("forward", 1)).rows}
+    by_year = {r["year"]: r for r in region_removal_uncitedness(
+        c, StudyConfig(window=WindowSpec("forward", 1), region_removed="RegA")).rows}
     assert by_year[2000]["baseline_share"] == 0.5
     assert by_year[2000]["removed_share"] == 1.0
     assert by_year[2000]["relative_change"] == 1.0

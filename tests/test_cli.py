@@ -239,11 +239,14 @@ def test_analyze_data_error_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", ["u5.study.pcts = 0.01,abc\n", "u5.study.top_pct = abc\n"])
 def test_analyze_non_numeric_pct_is_config_error(tmp_path, capsys, extra):
+    # u5 becomes the study type that reads the key, so the number parser is what rejects it.
+    kind = "top_shares" if "pcts" in extra else "region_tails"
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.conf"
-    cfg.write_text(analyze_config(out_dir, extra=extra))
+    cfg.write_text(analyze_config(out_dir, extra=extra).replace("u5.type = uncited", f"u5.type = {kind}"))
     assert main(["analyze", str(cfg)]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected a number" in err
     assert not out_dir.exists()
 
 
@@ -258,12 +261,59 @@ def test_analyze_forward_only_study_rejects_backward_window(tmp_path, capsys, ki
     cfg = tmp_path / "run.conf"
     cfg.write_text(
         "corpus.scenario = stationary\n" + GEN_OVERRIDES + f"output.dir = {out_dir}\n"
-        f"studies = b\nb.type = {kind}\nb.regions.remove = Asia\n"
+        f"studies = b\nb.type = {kind}\n"
+        + ("b.regions.remove = Asia\n" if kind == "region_removal" else "")
         + "".join(f"b.{s}\n" for s in settings)
     )
     assert main(["analyze", str(cfg)]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "requires a forward window" in err
     assert not out_dir.exists()
+
+
+def test_analyze_region_removal_without_region_fails_before_compute(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(
+        "corpus.scenario = stationary\n" + GEN_OVERRIDES + f"output.dir = {out_dir}\n"
+        "studies = g1 rr\ng1.type = gini\nrr.type = region_removal\n"
+    )
+    assert main(["analyze", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "requires regions.remove" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    "u5.study.field = nonexistent\n",
+    "u5.regions.remove = nowhere\n",
+    "u5.normalize.mics_per_year = true\n",
+    "g5.study.pcts = 0.5\n",
+    "g5.study.citing_level = article\n",
+])
+def test_analyze_key_the_study_type_does_not_read_fails_before_compute(tmp_path, capsys, extra):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(analyze_config(out_dir, extra=extra))
+    assert main(["analyze", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{extra.split(' =')[0]}: not read by" in err
+    assert not out_dir.exists()
+
+
+def test_analyze_global_default_applies_only_to_types_that_read_it(tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(
+        "corpus.scenario = stationary\n" + GEN_OVERRIDES + f"output.dir = {out_dir}\n"
+        "output.formats = json\nstudy.pcts = 0.5\nstudy.field = F1\n"
+        "studies = g t\ng.type = gini\nt.type = top_shares\n"
+    )
+    assert main(["analyze", str(cfg)]) == 0
+    g = json.loads((out_dir / "g.json").read_text())
+    t = json.loads((out_dir / "t.json").read_text())
+    assert g["config"]["field_filter"] == "F1"
+    assert "top_0.5" in t["columns"]
 
 
 def test_console_script_installed(tmp_path):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from citeconc import synthgen
+from citeconc.corpus import load_corpus_files, write_tables
 from citeconc.concentration import Distribution
 from citeconc.studies import (
     StudyConfig,
@@ -165,15 +168,16 @@ def test_reference_based_fixture_manual():
 def test_uncited_share_no_edges():
     arts = ART_HEADER + "A\t2000\tF\tR\tJ\t\nB\t2001\tF\tR\tJ\t\n"
     c = make_corpus(arts, EDGE_HEADER, span=(2000, 2002))
-    rows = uncited_share_series(c, WindowSpec("forward", 1)).rows
+    rows = uncited_share_series(c, StudyConfig(window=WindowSpec("forward", 1))).rows
     assert [r["uncited_share"] for r in rows] == [1.0, 1.0]
 
 
 def test_uncited_share_self_scope_ordering():
     corpus = small_corpus()
     for length in (2, 5):
-        with_self = uncited_share_series(corpus, WindowSpec("forward", length), exclude_self=False).rows
-        without = uncited_share_series(corpus, WindowSpec("forward", length), exclude_self=True).rows
+        with_self = uncited_share_series(corpus, StudyConfig(window=WindowSpec("forward", length))).rows
+        without = uncited_share_series(
+            corpus, StudyConfig(window=WindowSpec("forward", length), exclude_self_citations=True)).rows
         for a, b in zip(with_self, without):
             assert b["uncited_share"] >= a["uncited_share"]
 
@@ -192,7 +196,7 @@ def region_fixture():
 
 def test_region_removal_manual_two_region_fixture():
     c = region_fixture()
-    rows = region_removal_uncitedness(c, "RegA", WindowSpec("forward", 1)).rows
+    rows = region_removal_uncitedness(c, StudyConfig(window=WindowSpec("forward", 1), region_removed="RegA")).rows
     by_year = {r["year"]: r for r in rows}
     # baseline 2000: {X1 uncited, Y1 cited} -> 0.5; removing RegA leaves Y1 uncited -> 1.0
     assert by_year[2000]["baseline_share"] == pytest.approx(0.5)
@@ -205,11 +209,11 @@ def test_region_removal_manual_two_region_fixture():
 def test_region_removal_errors():
     c = region_fixture()
     with pytest.raises(ValueError, match="unknown region"):
-        region_removal_uncitedness(c, "Atlantis", WindowSpec("forward", 1))
+        region_removal_uncitedness(c, StudyConfig(window=WindowSpec("forward", 1), region_removed="Atlantis"))
     single = make_corpus(
         ART_HEADER + "A\t2000\tF\tOnly\tJ\t\n", EDGE_HEADER, span=(2000, 2001))
     with pytest.raises(ValueError, match="empty residual"):
-        region_removal_uncitedness(single, "Only", WindowSpec("forward", 1))
+        region_removal_uncitedness(single, StudyConfig(window=WindowSpec("forward", 1), region_removed="Only"))
 
 
 def test_region_removal_zero_article_region_is_noop():
@@ -225,7 +229,7 @@ def test_region_removal_zero_article_region_is_noop():
     edges = EDGE_HEADER + "X2\tY1\n"
     full = make_corpus(arts, edges, span=(2000, 2002))
     sub = full.subset(np.asarray([full.regions[c_] != "RegC" for c_ in full.region_code]))
-    rows = region_removal_uncitedness(sub, "RegC", WindowSpec("forward", 1)).rows
+    rows = region_removal_uncitedness(sub, StudyConfig(window=WindowSpec("forward", 1), region_removed="RegC")).rows
     for r in rows:
         if r["relative_change"] is not None:
             assert r["relative_change"] == 0.0
@@ -242,7 +246,7 @@ def test_region_tail_shares_manual():
     )
     edges = EDGE_HEADER + "U\tP\nU\tR\nV\tP\n"
     c = make_corpus(arts, edges, span=(2000, 2002))
-    rows = region_tail_shares(c, WindowSpec("forward", 2)).rows
+    rows = region_tail_shares(c, StudyConfig(window=WindowSpec("forward", 2), exclude_self_citations=True)).rows
     by = {(r["year"], r["region"]): r for r in rows}
     # single-cited: {R} (RegB); top-1% (k=1) by nics: P (RegA)
     assert by[(2000, "RegA")]["cited_low"] == 0.0
@@ -262,7 +266,7 @@ def test_region_tail_shares_single_region_and_nulls():
     )
     edges = EDGE_HEADER + "U\tP\nV\tP\n"  # P has two citations -> no single-cited in 2000
     c = make_corpus(arts, edges, span=(2000, 2002))
-    rows = region_tail_shares(c, WindowSpec("forward", 2)).rows
+    rows = region_tail_shares(c, StudyConfig(window=WindowSpec("forward", 2), exclude_self_citations=True)).rows
     r0 = rows[0]
     assert r0["region"] == "RegA"
     assert r0["cited_low"] is None
@@ -273,7 +277,7 @@ def test_region_tail_shares_single_region_and_nulls():
 
 def test_region_tail_shares_sum_to_one():
     corpus = small_corpus()
-    report = region_tail_shares(corpus, WindowSpec("forward", 3))
+    report = region_tail_shares(corpus, StudyConfig(window=WindowSpec("forward", 3), exclude_self_citations=True))
     by_year = {}
     for r in report.rows:
         by_year.setdefault(r["year"], []).append(r)
@@ -289,7 +293,7 @@ def test_top_share_series_equal_cited():
         "".join(f"C{i}\t2001\tF\tR\tJ\t\n" for i in range(100))
     edges = EDGE_HEADER + "".join(f"C{i}\tP{i}\n" for i in range(100))
     c = make_corpus(arts, edges, span=(2000, 2001))
-    rows = top_share_series(c, WindowSpec("forward", 1), [0.10, 1.0]).rows
+    rows = top_share_series(c, StudyConfig(window=WindowSpec("forward", 1)), [0.10, 1.0]).rows
     assert rows[0]["top_0.1"] == pytest.approx(0.10)
     assert rows[0]["top_1"] == 1.0
 
@@ -298,14 +302,14 @@ def test_top_share_series_single_cited_article():
     arts = ART_HEADER + "".join(f"P{i}\t2000\tF\tR\tJ\t\n" for i in range(50)) + "C\t2001\tF\tR\tJ\t\n"
     edges = EDGE_HEADER + "C\tP0\n"
     c = make_corpus(arts, edges, span=(2000, 2001))
-    rows = top_share_series(c, WindowSpec("forward", 1), [0.01, 0.05]).rows
+    rows = top_share_series(c, StudyConfig(window=WindowSpec("forward", 1)), [0.01, 0.05]).rows
     assert rows[0]["top_0.01"] == 1.0
     assert rows[0]["top_0.05"] == 1.0
 
 
 def test_top_share_series_matches_sort_oracle():
     corpus = small_corpus()
-    report = top_share_series(corpus, WindowSpec("forward", 3), [0.01, 0.05, 0.10, 1.0])
+    report = top_share_series(corpus, StudyConfig(window=WindowSpec("forward", 3)), [0.01, 0.05, 0.10, 1.0])
     raw = np.zeros(corpus.n_articles)
     for j in range(corpus.n_edges):
         gap = int(corpus.citing_year[j]) - int(corpus.cited_year[j])
@@ -365,8 +369,8 @@ def test_determinism_bitwise():
     b = gini_series(corpus, cfg)
     assert a.rows == b.rows
 
-    t1 = region_tail_shares(corpus, WindowSpec("forward", 3))
-    t2 = region_tail_shares(corpus, WindowSpec("forward", 3))
+    t1 = region_tail_shares(corpus, StudyConfig(window=WindowSpec("forward", 3), exclude_self_citations=True))
+    t2 = region_tail_shares(corpus, StudyConfig(window=WindowSpec("forward", 3), exclude_self_citations=True))
     assert t1.rows == t2.rows
 
 
@@ -383,3 +387,62 @@ def test_mean_nics_one_within_study_cohort():
         members = scores[corpus.field_code[idx] == code]
         if members.sum() > 0:
             assert members.mean() == pytest.approx(1.0, rel=1e-9)
+
+
+def year_and_region(row):
+    # region_tails lists regions in vocabulary order, which follows the article rows
+    return row["year"], row.get("region", "")
+
+
+def every_series(corpus):
+    fwd = StudyConfig(window=WindowSpec("forward", 3))
+    bwd = StudyConfig(window=WindowSpec("backward", 3), approach="reference_based")
+    reports = []
+    for include in (True, False):
+        reports.append(gini_series(corpus, StudyConfig(window=fwd.window, include_uncited=include)))
+        reports.append(gini_series(corpus, StudyConfig(window=bwd.window, approach="reference_based",
+                                                       include_uncited=include)))
+    for cfg in (fwd, bwd):
+        reports += gini_by_field(corpus, cfg).values()
+    reports.append(uncited_share_series(corpus, fwd))
+    reports.append(region_removal_uncitedness(corpus, StudyConfig(window=fwd.window, region_removed="Asia")))
+    for level in ("edge", "article"):
+        reports.append(region_tail_shares(corpus, fwd, citing_level=level))
+    reports.append(top_share_series(corpus, fwd, [0.01, 0.1, 0.5]))
+    return reports
+
+
+def test_every_series_ignores_article_row_order_and_survives_an_empty_year(tmp_path):
+    params = synthgen.GenParams(
+        span=(1990, 2001),
+        articles_per_year=tuple([80] * 12),
+        refs_per_article=tuple([4.0] * 12),
+        attachment_constant=2.0,
+        self_citation_rate=0.1,
+        seed=23,
+    )
+    full = synthgen.generate(params)
+    # 1995 is left empty; subset drops its edges.
+    ap, ep, shuffled = tmp_path / "a.tsv", tmp_path / "e.tsv", tmp_path / "shuffled.tsv"
+    write_tables(full.subset(full.pub_year != 1995), str(ap), str(ep))
+    header, *rows = ap.read_text().splitlines(keepends=True)
+    np.random.default_rng(5).shuffle(rows)
+    shuffled.write_text(header + "".join(rows))
+    in_order = load_corpus_files(str(ap), str(ep), params.span)
+    mixed = load_corpus_files(str(shuffled), str(ep), params.span)
+    assert np.any(np.diff(mixed.pub_year) < 0)
+
+    expected, got = every_series(in_order), every_series(mixed)
+    assert len(expected) == len(got) == 15
+    assert any(r["reason"] == "empty_cohort" for rep in expected for r in rep.rows)
+    for a, b in zip(expected, got):
+        assert (a.study_id, a.config, a.columns) == (b.study_id, b.config, b.columns)
+        rows_a, rows_b = sorted(a.rows, key=year_and_region), sorted(b.rows, key=year_and_region)
+        assert len(rows_a) == len(rows_b)
+        for ra, rb in zip(rows_a, rows_b):
+            for col in a.columns:
+                x, y = ra[col], rb[col]
+                if isinstance(x, float):
+                    assert isinstance(y, float) and math.isclose(x, y, rel_tol=1e-12, abs_tol=0.0), (a.study_id, col)
+                else:
+                    assert type(x) is type(y) and x == y, (a.study_id, ra["year"], col)

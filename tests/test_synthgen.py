@@ -189,11 +189,11 @@ def test_scenario_seed_override():
 
 
 def test_stationary_scenario_flat_uncitedness():
-    from citeconc.studies import uncited_share_series
+    from citeconc.studies import StudyConfig, uncited_share_series
     from citeconc.windows import WindowSpec
 
     c = synthgen.generate(synthgen.scenario("stationary"))
-    rows = uncited_share_series(c, WindowSpec("forward", 5)).rows
+    rows = uncited_share_series(c, StudyConfig(window=WindowSpec("forward", 5))).rows
     # skip the burn-in third of the span, then the share should stay in a band
     settled = [r["uncited_share"] for r in rows[len(rows) // 3:]]
     assert max(settled) - min(settled) < 0.08
