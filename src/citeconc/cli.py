@@ -6,18 +6,18 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-from collections import Counter
 from dataclasses import replace
+
+import numpy as np
 
 from citeconc import corpus as corpus_mod
 from citeconc import report as report_mod
 from citeconc import studies as studies_mod
 from citeconc import synthgen
 from citeconc.config import ConfigError, RunConfig, StudySpec, build_run, parse_config
-from citeconc.corpus import ARTICLE_COLUMNS, EDGE_COLUMNS, DataError
+from citeconc.corpus import DataError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,88 +52,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(articles_path: str, edges_path: str, span: tuple[int, int] | None) -> int:
     try:
-        fa = open(articles_path, encoding="utf-8", newline="")
+        with (open(articles_path, encoding="utf-8", newline="") as fa,
+              open(edges_path, encoding="utf-8", newline="") as fe):
+            tables = corpus_mod.read_tables(fa, fe, span)
     except OSError as e:
-        print(f"error: cannot read {articles_path}: {e}", file=sys.stderr)
+        print(f"error: cannot read {e.filename}: {e}", file=sys.stderr)
         return EXIT_DATA
-    drops = Counter()
-    year_hist = Counter()
-    field_hist = Counter()
-    region_hist = Counter()
-    id_year: dict[str, int] = {}
-    art_rows = 0
-    try:
-        with fa:
-            reader = csv.reader(fa, delimiter="\t")
-            corpus_mod._check_header(next(reader, None), ARTICLE_COLUMNS, "articles")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                art_rows += 1
-                art_id, year, fld, region, _journal, _authors = corpus_mod._parse_article_row(row, lineno)
-                if art_id in id_year:
-                    raise DataError(f"articles line {lineno}: duplicate article id {art_id!r}")
-                if span and not (span[0] <= year <= span[1]):
-                    drops["out_of_span"] += 1
-                    continue
-                id_year[art_id] = year
-                year_hist[year] += 1
-                field_hist[fld] += 1
-                region_hist[region] += 1
-    except DataError as e:
+    except (DataError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-
-    edge_rows = 0
-    seen: set[tuple[str, str]] = set()
-    try:
-        fe = open(edges_path, encoding="utf-8", newline="")
-    except OSError as e:
-        print(f"error: cannot read {edges_path}: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        with fe:
-            reader = csv.reader(fe, delimiter="\t")
-            corpus_mod._check_header(next(reader, None), EDGE_COLUMNS, "edges")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                edge_rows += 1
-                if len(row) != 2:
-                    raise DataError(f"edges line {lineno}: expected 2 columns, got {len(row)}")
-                src, dst = row
-                if src == dst:
-                    drops["self_loop"] += 1
-                elif src not in id_year or dst not in id_year:
-                    drops["dangling"] += 1
-                elif id_year[src] < id_year[dst]:
-                    drops["future_dated"] += 1
-                elif (src, dst) in seen:
-                    drops["duplicate_edge"] += 1
-                else:
-                    seen.add((src, dst))
-    except DataError as e:
+    except ValueError as e:  # an inverted --span
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE
 
-    print(f"articles read: {art_rows}")
-    print(f"articles retained: {len(id_year)}")
-    print(f"edges read: {edge_rows}")
-    print(f"edges retained: {len(seen)}")
+    print(f"articles read: {tables['rows_read'][0]}")
+    print(f"articles retained: {len(tables['ids'])}")
+    print(f"edges read: {tables['rows_read'][1]}")
+    print(f"edges retained: {len(tables['citing'])}")
     print("drops:")
-    for reason in ("out_of_span", "dangling", "self_loop", "future_dated", "duplicate_edge"):
-        print(f"  {reason}: {drops[reason]}")
-    for title, hist in (("years", year_hist), ("fields", field_hist), ("regions", region_hist)):
+    for reason, n in tables["drops"].items():
+        print(f"  {reason}: {n}")
+    years, year_counts = np.unique(tables["pub_year"], return_counts=True)
+    print("years:")
+    for year, n in zip(years.tolist(), year_counts.tolist()):
+        print(f"  {year}: {n}")
+    for title, labels, codes in (("fields", tables["fields"], tables["field_code"]),
+                                 ("regions", tables["regions"], tables["region_code"])):
         print(f"{title}:")
-        for k in sorted(hist):
-            print(f"  {k}: {hist[k]}")
+        for label, n in sorted(zip(labels, np.bincount(codes, minlength=len(labels)).tolist())):
+            print(f"  {label}: {n}")
     return EXIT_OK
 
 
 def _gen_params(run: RunConfig) -> synthgen.GenParams:
     params = synthgen.scenario(run.scenario)
     ov = run.gen_overrides
-    if "gen.span.start" in ov or "gen.span.end" in ov:
+    if ov.keys() - {"gen.seed"}:  # a span or schedule override: rebuild both schedules
         start = int(ov.get("gen.span.start", params.span[0]))
         end = int(ov.get("gen.span.end", params.span[1]))
         n = end - start + 1
@@ -144,17 +98,6 @@ def _gen_params(run: RunConfig) -> synthgen.GenParams:
         params = replace(
             params,
             span=(start, end),
-            articles_per_year=tuple(int(round(v)) for v in synthgen.linear_schedule(a0, a1, n)),
-            refs_per_article=synthgen.linear_schedule(r0, r1, n),
-        )
-    elif {"gen.articles.start", "gen.articles.end", "gen.refs.start", "gen.refs.end"} & set(ov):
-        n = params.span[1] - params.span[0] + 1
-        a0 = int(ov.get("gen.articles.start", params.articles_per_year[0]))
-        a1 = int(ov.get("gen.articles.end", params.articles_per_year[-1]))
-        r0 = float(ov.get("gen.refs.start", params.refs_per_article[0]))
-        r1 = float(ov.get("gen.refs.end", params.refs_per_article[-1]))
-        params = replace(
-            params,
             articles_per_year=tuple(int(round(v)) for v in synthgen.linear_schedule(a0, a1, n)),
             refs_per_article=synthgen.linear_schedule(r0, r1, n),
         )
@@ -202,12 +145,12 @@ def cmd_analyze(config_path: str) -> int:
             corpus = synthgen.generate(_gen_params(run))
         else:
             corpus = corpus_mod.load_corpus_files(run.articles_path, run.edges_path, run.span)
+    except (OSError, DataError, UnicodeDecodeError) as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, DataError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
 
     os.makedirs(run.out_dir, exist_ok=True)
     manifest = []

@@ -5,12 +5,15 @@ Input files are UTF-8 TSV with a header row:
     articles: id  pub_year  field  region  journal_id  author_ids
     edges:    citing_id  cited_id
 
-author_ids is a ``;``-separated list (possibly empty).
+author_ids is a ``;``-separated list (possibly empty). :func:`read_tables` is
+the one row parser: it holds the row, span and edge-drop rules that both
+:func:`load_corpus` (``analyze``) and ``citeconc validate`` apply.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -18,9 +21,6 @@ import numpy as np
 
 ARTICLE_COLUMNS = ["id", "pub_year", "field", "region", "journal_id", "author_ids"]
 EDGE_COLUMNS = ["citing_id", "cited_id"]
-
-ARTICLE_DROP_REASONS = ("out_of_span",)
-EDGE_DROP_REASONS = ("dangling", "self_loop", "future_dated", "duplicate_edge")
 
 
 class DataError(Exception):
@@ -194,112 +194,95 @@ def is_self_citation(edge: CitationEdge, corpus: Corpus) -> bool:
     return not a.isdisjoint(b)
 
 
-def _parse_article_row(row: list[str], lineno: int) -> tuple[str, int, str, str, str, tuple[str, ...]]:
-    if len(row) != len(ARTICLE_COLUMNS):
-        raise DataError(f"articles line {lineno}: expected {len(ARTICLE_COLUMNS)} columns, got {len(row)}")
-    art_id, year_s, fld, region, journal, authors_s = row
-    try:
-        year = int(year_s)
-    except ValueError:
-        raise DataError(f"articles line {lineno}: unparsable year {year_s!r}") from None
-    if not fld:
-        raise DataError(f"articles line {lineno}: empty field label")
-    authors = tuple(sorted({a for a in authors_s.split(";") if a}))
-    return art_id, year, fld, region, journal, authors
+def _rows(source: Iterable[str] | IO[str], columns: list[str], name: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each non-blank data row of a TSV stream whose header
+    and row widths match ``columns``."""
+    reader = csv.reader(source, delimiter="\t")
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != columns:
+        raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if row:
+            if len(row) != len(columns):
+                raise DataError(f"{name} line {lineno}: expected {len(columns)} columns, got {len(row)}")
+            yield lineno, row
 
 
-def _check_header(row: list[str] | None, expected: list[str], name: str) -> None:
-    if row is None or [c.strip() for c in row] != expected:
-        raise DataError(f"{name}: bad or missing header, expected {chr(9).join(expected)!r}")
-
-
-def load_corpus(
+def read_tables(
     articles_source: Iterable[str] | IO[str],
     edges_source: Iterable[str] | IO[str],
-    span: tuple[int, int],
-) -> Corpus:
-    """Read article and edge TSV streams into an indexed corpus.
+    span: tuple[int, int] | None,
+) -> dict:
+    """Parse article and edge TSV streams into coded columns: the one row parser.
 
-    Rows that violate soft rules (out-of-span year, dangling endpoint, citation
-    to the future, duplicate edge, self loop) are dropped and tallied by reason;
-    malformed rows and duplicate article ids raise :class:`DataError`.
+    Malformed rows (wrong column count, bad year, empty field) and duplicate
+    article ids, whatever their year, raise :class:`DataError`. Articles outside
+    ``span`` are dropped (``span=None`` keeps every year); edges are dropped, in
+    this precedence, as self_loop, dangling (an endpoint not retained),
+    future_dated (cites a later year) and duplicate_edge (first copy kept).
+
+    Returns the :class:`Corpus` keyword arguments ``ids``, ``pub_year``, the
+    field/region/journal codes and labels, ``citing``, ``cited``, ``drops`` and
+    ``rows_read``, plus ``author_text``: each retained article's raw author_ids.
     """
-    start, end = int(span[0]), int(span[1])
+    start, end = (int(span[0]), int(span[1])) if span is not None else (-sys.maxsize, sys.maxsize)
     if start > end:
         raise ValueError(f"invalid span {span}")
-    drops = {r: 0 for r in ARTICLE_DROP_REASONS + EDGE_DROP_REASONS}
-
+    index: dict[str, int] = {}  # every id read -> its retained row, or -1 if out of span
     ids: list[str] = []
-    id_index: dict[str, int] = {}
     years: list[int] = []
+    author_text: list[str] = []
     field_vocab: dict[str, int] = {}
     field_code: list[int] = []
     region_vocab: dict[str, int] = {}
     region_code: list[int] = []
     journal_vocab: dict[str, int] = {}
     journal_code: list[int] = []
-    author_names: list[str] = []
-    author_ptr: list[int] = [0]
 
     art_rows = 0
-    reader = csv.reader(articles_source, delimiter="\t")
-    _check_header(next(reader, None), ARTICLE_COLUMNS, "articles")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, (art_id, year_s, fld, region, journal, authors) in _rows(articles_source, ARTICLE_COLUMNS, "articles"):
         art_rows += 1
-        art_id, year, fld, region, journal, authors = _parse_article_row(row, lineno)
-        if art_id in id_index:
+        try:
+            year = int(year_s)
+        except ValueError:
+            raise DataError(f"articles line {lineno}: unparsable year {year_s!r}") from None
+        if not fld:
+            raise DataError(f"articles line {lineno}: empty field label")
+        if art_id in index:
             raise DataError(f"articles line {lineno}: duplicate article id {art_id!r}")
         if year < start or year > end:
-            drops["out_of_span"] += 1
+            index[art_id] = -1
             continue
-        id_index[art_id] = len(ids)
+        index[art_id] = len(ids)
         ids.append(art_id)
         years.append(year)
         field_code.append(field_vocab.setdefault(fld, len(field_vocab)))
         region_code.append(region_vocab.setdefault(region, len(region_vocab)))
         journal_code.append(journal_vocab.setdefault(journal, len(journal_vocab)))
-        author_names.extend(authors)
-        author_ptr.append(len(author_names))
+        author_text.append(authors)
 
-    author_vocab = {a: c for c, a in enumerate(dict.fromkeys(author_names))}
-    author_code = np.fromiter(map(author_vocab.__getitem__, author_names), np.int32, len(author_names))
-    author_ptr = np.asarray(author_ptr, dtype=np.int64)
-    pub_year = np.asarray(years, dtype=np.int32)
     citing: list[int] = []
     cited: list[int] = []
-    seen_edges: set[tuple[int, int]] = set()
-    edge_rows = 0
-    reader = csv.reader(edges_source, delimiter="\t")
-    _check_header(next(reader, None), EDGE_COLUMNS, "edges")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        edge_rows += 1
-        if len(row) != 2:
-            raise DataError(f"edges line {lineno}: expected 2 columns, got {len(row)}")
-        src, dst = row
+    self_loops = 0
+    for _, (src, dst) in _rows(edges_source, EDGE_COLUMNS, "edges"):
         if src == dst:
-            drops["self_loop"] += 1
+            self_loops += 1
             continue
-        i = id_index.get(src)
-        j = id_index.get(dst)
-        if i is None or j is None:
-            drops["dangling"] += 1
-            continue
-        if pub_year[i] < pub_year[j]:
-            drops["future_dated"] += 1
-            continue
-        if (i, j) in seen_edges:
-            drops["duplicate_edge"] += 1
-            continue
-        seen_edges.add((i, j))
-        citing.append(i)
-        cited.append(j)
+        citing.append(index.get(src, -1))
+        cited.append(index.get(dst, -1))
 
+    pub_year = np.asarray(years, dtype=np.int32)
+    edge_rows = self_loops + len(citing)
     citing, cited = np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
-    return Corpus(
+    keep = (citing >= 0) & (cited >= 0)
+    n_dangling = len(citing) - int(keep.sum())
+    citing, cited = citing[keep], cited[keep]
+    keep = pub_year[citing] >= pub_year[cited]
+    n_future = len(citing) - int(keep.sum())
+    citing, cited = citing[keep], cited[keep]
+    first = np.sort(np.unique(citing * len(ids) + cited, return_index=True)[1])
+    n_duplicate = len(citing) - len(first)
+    return dict(
         ids=ids,
         pub_year=pub_year,
         field_code=np.asarray(field_code, dtype=np.int32),
@@ -308,15 +291,38 @@ def load_corpus(
         regions=list(region_vocab),
         journal_code=np.asarray(journal_code, dtype=np.int32),
         journals=list(journal_vocab),
+        author_text=author_text,
+        citing=citing[first],
+        cited=cited[first],
+        drops={"out_of_span": art_rows - len(ids), "dangling": n_dangling, "self_loop": self_loops,
+               "future_dated": n_future, "duplicate_edge": n_duplicate},
+        rows_read=(art_rows, edge_rows),
+    )
+
+
+def load_corpus(
+    articles_source: Iterable[str] | IO[str],
+    edges_source: Iterable[str] | IO[str],
+    span: tuple[int, int],
+) -> Corpus:
+    """Read article and edge TSV streams into an indexed corpus: :func:`read_tables`,
+    then each article's distinct authors coded in name order, and self-citations."""
+    tables = read_tables(articles_source, edges_source, span)
+    author_names: list[str] = []
+    author_ptr = [0]
+    for text in tables.pop("author_text"):
+        author_names.extend(sorted({a for a in text.split(";") if a}))
+        author_ptr.append(len(author_names))
+    author_vocab = {a: c for c, a in enumerate(dict.fromkeys(author_names))}
+    author_code = np.fromiter(map(author_vocab.__getitem__, author_names), np.int32, len(author_names))
+    author_ptr = np.asarray(author_ptr, dtype=np.int64)
+    return Corpus(
+        **tables,
         author_ptr=author_ptr,
         author_code=author_code,
         authors=list(author_vocab),
-        citing=citing,
-        cited=cited,
-        self_edge=_compute_self_edges(author_ptr, author_code, citing, cited),
-        span=(start, end),
-        drops=drops,
-        rows_read=(art_rows, edge_rows),
+        self_edge=_compute_self_edges(author_ptr, author_code, tables["citing"], tables["cited"]),
+        span=span,
     )
 
 

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from citeconc.cli import main
+from citeconc import synthgen
+from citeconc.cli import _gen_params, main
+from citeconc.config import build_run, parse_config
 from conftest import ARTICLES_TSV, EDGES_TSV
 
 GEN_OVERRIDES = """\
@@ -55,16 +58,18 @@ def test_validate_bad_row_reports_line_number(tmp_path, capsys):
 
 def test_validate_duplicate_id_is_error(tmp_path, capsys):
     arts = tmp_path / "articles.tsv"
-    arts.write_text(
-        "id\tpub_year\tfield\tregion\tjournal_id\tauthor_ids\n"
-        "A\t2000\tF\tR\tJ\t\n"
-        "A\t2001\tF\tR\tJ\t\n"
-    )
     edges = tmp_path / "edges.tsv"
     edges.write_text("citing_id\tcited_id\n")
-    rc = main(["validate", str(arts), str(edges)])
-    assert rc == 2
-    assert "duplicate article id" in capsys.readouterr().err
+    # in the second case the first copy of A is out of the span
+    for first_year, span in (("2000", []), ("1990", ["--span", "2000", "2002"])):
+        arts.write_text(
+            "id\tpub_year\tfield\tregion\tjournal_id\tauthor_ids\n"
+            f"A\t{first_year}\tF\tR\tJ\t\n"
+            "A\t2001\tF\tR\tJ\t\n"
+        )
+        rc = main(["validate", str(arts), str(edges)] + span)
+        assert rc == 2
+        assert "line 3: duplicate article id" in capsys.readouterr().err
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -104,6 +109,33 @@ def test_generate_deterministic_and_round_trips(tmp_path, capsys):
     assert f"edges retained: {n_edges}" in out
     for reason in ("out_of_span", "dangling", "self_loop", "future_dated", "duplicate_edge"):
         assert f"{reason}: 0" in out
+
+
+def test_validate_inverted_span_and_undecodable_input(tmp_path, capsys):
+    arts, edges = write_fixture_tables(tmp_path)
+    assert main(["validate", arts, edges, "--span", "2004", "2000"]) == 1
+    assert "invalid span" in capsys.readouterr().err
+    Path(arts).write_bytes(ARTICLES_TSV.encode() + b"F\t2001\tPhys\tAsia\tJ1\t\xff\n")
+    assert main(["validate", arts, edges]) == 2
+    assert "can't decode" in capsys.readouterr().err
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"corpus.articles = {arts}\ncorpus.edges = {edges}\nspan.start = 2000\nspan.end = 2004\n"
+                   f"output.dir = {tmp_path / 'out'}\nstudies = g\ng.type = gini\n")
+    assert main(["analyze", str(cfg)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_gen_params_schedule_override_keeps_the_scenario_span():
+    run = build_run(parse_config("corpus.scenario = stationary\ngen.articles.start = 100\n"
+                                 "gen.articles.end = 390\ngen.refs.end = 2\nseed = 5\nstudies = g\ng.type = gini\n"))
+    base = synthgen.scenario("stationary")
+    params = _gen_params(run)
+    assert params.span == base.span == (1980, 2009)
+    assert params.articles_per_year == tuple(range(100, 391, 10))
+    assert params.refs_per_article == pytest.approx([8.0 - 6.0 * t / 29 for t in range(30)], rel=1e-15)
+    assert replace(params, articles_per_year=base.articles_per_year, refs_per_article=base.refs_per_article,
+                   seed=base.seed) == base
+    assert params.seed == 5
 
 
 def analyze_config(out_dir, extra=""):

@@ -67,6 +67,10 @@ def test_duplicate_article_id_is_hard_error():
     arts = ART_HEADER + "A\t2000\tF\tR\tJ\t\nA\t2001\tF\tR\tJ\t\n"
     with pytest.raises(DataError, match="duplicate article id"):
         make_corpus(arts, EDGE_HEADER)
+    # the first copy is out of span: still a duplicate
+    arts = ART_HEADER + "A\t1990\tF\tR\tJ\t\nA\t2001\tF\tR\tJ\t\n"
+    with pytest.raises(DataError, match="line 3: duplicate article id"):
+        make_corpus(arts, EDGE_HEADER, span=(2000, 2002))
 
 
 def test_malformed_rows_report_line_numbers():
