@@ -2,25 +2,20 @@
 field/year normalization, inequality measures, and study pipelines."""
 
 from citeconc.concentration import Distribution, LorenzCurve, gini, lorenz, top_share
-from citeconc.corpus import Article, CitationEdge, Corpus, filter_core_journals, is_self_citation, load_corpus, write_tables
-from citeconc.windows import WindowSpec, cited_population_backward, citations_in_window, counted_years, eligible_pub_years_forward
+from citeconc.corpus import Corpus, filter_core_journals, load_corpus, write_tables
+from citeconc.windows import WindowSpec, cited_population_backward, eligible_pub_years_forward
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Article",
-    "CitationEdge",
     "Corpus",
     "Distribution",
     "LorenzCurve",
     "WindowSpec",
     "cited_population_backward",
-    "citations_in_window",
-    "counted_years",
     "eligible_pub_years_forward",
     "filter_core_journals",
     "gini",
-    "is_self_citation",
     "load_corpus",
     "lorenz",
     "top_share",

@@ -14,7 +14,7 @@ import numpy as np
 
 
 class Distribution:
-    """Multiset of non-negative scores with an explicit zero count."""
+    """Multiset of non-negative scores."""
 
     def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
@@ -23,7 +23,6 @@ class Distribution:
         if len(v) and v.min() < 0:
             raise ValueError("distribution values must be non-negative")
         self.values = v
-        self.zero_count = int(np.count_nonzero(v == 0))
 
     def __len__(self) -> int:
         return len(self.values)

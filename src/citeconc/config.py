@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from citeconc.normalize import RHO_SCOPE_STUDY
 from citeconc.studies import CITATION_BASED, REFERENCE_BASED, StudyConfig
 from citeconc.windows import BACKWARD, FORWARD, WindowSpec
 
@@ -45,19 +46,6 @@ GLOBAL_KEYS = {
     "gen.refs.start", "gen.refs.end",
 }
 
-STUDY_KEYS = {
-    "type",
-    "study.approach", "study.include_uncited", "study.exclude_self",
-    "study.core_only", "study.field", "study.pcts", "study.top_pct",
-    "study.citing_level",
-    "window.length", "window.direction", "window.drop_earliest_population",
-    "normalize.enabled", "normalize.mics_per_year", "normalize.rho_scope",
-    "regions.remove",
-}
-
-# study-scoped keys may also appear globally as defaults
-DEFAULTABLE = STUDY_KEYS - {"type"}
-
 # The study-scoped keys each study type reads; any other is a config error,
 # and a global default applies only to the types that read it.
 _COMMON_KEYS = {"type", "study.approach", "window.direction", "window.length", "study.exclude_self", "study.core_only"}
@@ -73,6 +61,10 @@ STUDY_TYPE_KEYS = {
     "top_shares": _COMMON_KEYS | {"study.pcts"},
     "gini_by_field": _GINI_KEYS,
 }
+STUDY_KEYS = set().union(*STUDY_TYPE_KEYS.values())
+
+# study-scoped keys may also appear globally as defaults
+DEFAULTABLE = STUDY_KEYS - {"type"}
 
 
 @dataclass
@@ -207,9 +199,6 @@ def _build_study(name: str, kind: str, scoped: dict[str, str]) -> StudySpec:
     elif direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"{name}.window.direction: must be forward or backward")
     length = _int(scoped.get("window.length", "5"), f"{name}.window.length")
-    rho_scope = scoped.get("normalize.rho_scope", "study")
-    if rho_scope not in ("study", "all_edges"):
-        raise ConfigError(f"{name}.normalize.rho_scope: must be study or all_edges")
     citing_level = scoped.get("study.citing_level", "edge")
     if citing_level not in ("edge", "article"):
         raise ConfigError(f"{name}.study.citing_level: must be edge or article")
@@ -226,7 +215,7 @@ def _build_study(name: str, kind: str, scoped: dict[str, str]) -> StudySpec:
             drop_earliest_population=_bool(scoped.get("window.drop_earliest_population", "false"),
                                            f"{name}.window.drop_earliest_population"),
             mics_per_year=_bool(scoped.get("normalize.mics_per_year", "false"), f"{name}.normalize.mics_per_year"),
-            rho_scope=rho_scope,
+            rho_scope=scoped.get("normalize.rho_scope", RHO_SCOPE_STUDY),
         )
     except ValueError as e:
         raise ConfigError(f"{name}: {e}") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -24,23 +23,7 @@ EDGE_COLUMNS = ["citing_id", "cited_id"]
 
 
 class DataError(Exception):
-    """Malformed input that cannot be skipped (bad row shape, bad year, duplicate id)."""
-
-
-@dataclass(frozen=True)
-class Article:
-    id: str
-    pub_year: int
-    field: str
-    region: str
-    journal_id: str
-    author_ids: frozenset[str]
-
-
-@dataclass(frozen=True)
-class CitationEdge:
-    citing_id: str
-    cited_id: str
+    """Malformed input that cannot be skipped (unreadable row, bad row shape, bad year, duplicate id)."""
 
 
 class Corpus:
@@ -112,27 +95,6 @@ class Corpus:
     def n_edges(self) -> int:
         return len(self.citing)
 
-    def article(self, article_id: str) -> Article:
-        i = self.id_index[article_id]
-        codes = self.author_code[self.author_ptr[i]:self.author_ptr[i + 1]].tolist()
-        return Article(
-            id=self.ids[i],
-            pub_year=int(self.pub_year[i]),
-            field=self.fields[self.field_code[i]],
-            region=self.regions[self.region_code[i]],
-            journal_id=self.journals[self.journal_code[i]],
-            author_ids=frozenset(self.authors[c] for c in codes),
-        )
-
-    def articles(self) -> Iterator[Article]:
-        for a in self.ids:
-            yield self.article(a)
-
-    def ncits_by_year(self) -> dict[int, int]:
-        """Total retained citations made in each year (year of the citing article)."""
-        years, counts = np.unique(self.citing_year, return_counts=True)
-        return {int(y): int(c) for y, c in zip(years, counts)}
-
     def subset(self, keep: np.ndarray) -> "Corpus":
         """New corpus restricted to the articles flagged in ``keep``; edges are
         restricted to retained endpoints. Vocabularies are carried over unchanged."""
@@ -187,25 +149,26 @@ def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
     return out
 
 
-def is_self_citation(edge: CitationEdge, corpus: Corpus) -> bool:
-    """True iff the citing and cited articles share at least one author id."""
-    a = corpus.article(edge.citing_id).author_ids
-    b = corpus.article(edge.cited_id).author_ids
-    return not a.isdisjoint(b)
-
-
 def _rows(source: Iterable[str] | IO[str], columns: list[str], name: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, row) of each non-blank data row of a TSV stream whose header
-    and row widths match ``columns``."""
+    and row widths match ``columns``. The line number is the physical line on
+    which the row starts, though a quoted field may span lines; a row the csv
+    module cannot read is a :class:`DataError` too."""
     reader = csv.reader(source, delimiter="\t")
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != columns:
-        raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
-    for lineno, row in enumerate(reader, start=2):
-        if row:
-            if len(row) != len(columns):
-                raise DataError(f"{name} line {lineno}: expected {len(columns)} columns, got {len(row)}")
-            yield lineno, row
+    lineno = 1
+    try:
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != columns:
+            raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(columns):
+                    raise DataError(f"{name} line {lineno}: expected {len(columns)} columns, got {len(row)}")
+                yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as e:
+        raise DataError(f"{name} line {lineno}: {e}") from None
 
 
 def read_tables(

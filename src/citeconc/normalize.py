@@ -1,36 +1,28 @@
-"""Citation-inflation weights and field/year normalization.
+"""Citation-inflation weights and field/year normalization: the vectorised
+layer the studies' score table runs, over every article or edge at once.
 
 Forward approach: every citation made in year y carries weight
 rho_y = 1 / (total citations made in y); an article's weighted citation score
-is the sum of its in-window citations times their year weights, and is divided
-by the mean score of its field to give a field mean of exactly 1.
+(ics) is the sum of its in-window citations times their year weights, and is
+divided by the mean score of its field (or of its field and publication year)
+to give a field mean of exactly 1 (nics).
 
 Backward approach: each incoming reference from a citing article of field k is
-worth 1 / (mean in-window reference count of field k in the reference year).
+worth 1 / (mean in-window reference count of field k in the reference year),
+read from :func:`field_mean_reference_table`.
+
+``tests/oracle.py`` computes the same numbers one article at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from citeconc.corpus import Corpus
-from citeconc.windows import FORWARD, WindowSpec, in_window_edge_mask
+from citeconc.windows import WindowSpec, in_window_edge_mask
 
 RHO_SCOPE_STUDY = "study"
 RHO_SCOPE_ALL_EDGES = "all_edges"
-
-
-@dataclass(frozen=True)
-class NormalizeOptions:
-    exclude_self: bool = False
-    mics_per_year: bool = False
-    rho_scope: str = RHO_SCOPE_STUDY
-
-    def __post_init__(self):
-        if self.rho_scope not in (RHO_SCOPE_STUDY, RHO_SCOPE_ALL_EDGES):
-            raise ValueError(f"unknown rho scope {self.rho_scope!r}")
 
 
 def year_weights(corpus: Corpus, exclude_self: bool = False) -> dict[int, float]:
@@ -52,35 +44,32 @@ def _rho_lookup(corpus: Corpus, weights: dict[int, float]) -> np.ndarray:
     return rho
 
 
-def ics(article_id: str, w: WindowSpec, weights: dict[int, float], corpus: Corpus, exclude_self: bool = False) -> float:
-    """Year-weighted in-window citation score of one article."""
-    if w.direction != FORWARD:
-        raise ValueError("forward window required")
-    idx = corpus.id_index[article_id]
-    mask = (corpus.cited == idx) & in_window_edge_mask(corpus, w.length, exclude_self)
-    rho = _rho_lookup(corpus, weights)
-    return float(rho[corpus.citing_year[mask] - corpus.span[0]].sum())
+def ics_array(corpus: Corpus, w: WindowSpec, *, exclude_self: bool, rho_scope: str) -> np.ndarray:
+    """Year-weighted in-window citation score of every article in the corpus.
 
-
-def ics_array(corpus: Corpus, w: WindowSpec, options: NormalizeOptions) -> np.ndarray:
-    """Vector of ics over every article in the corpus."""
-    scope_excl = options.exclude_self if options.rho_scope == RHO_SCOPE_STUDY else False
-    rho = _rho_lookup(corpus, year_weights(corpus, exclude_self=scope_excl))
-    mask = in_window_edge_mask(corpus, w.length, exclude_self=options.exclude_self)
+    Self-citations are left out of the counted citations when ``exclude_self``
+    is set, and also out of the year weights unless ``rho_scope`` is
+    ``all_edges``.
+    """
+    rho = _rho_lookup(corpus, year_weights(corpus, exclude_self=exclude_self and rho_scope == RHO_SCOPE_STUDY))
+    mask = in_window_edge_mask(corpus, w.length, exclude_self=exclude_self)
     wts = rho[corpus.citing_year[mask] - corpus.span[0]]
     counts = np.bincount(corpus.cited[mask], weights=wts, minlength=corpus.n_articles)
     return counts.astype(np.float64, copy=False)
 
 
-def nics_array(corpus: Corpus, cohort_idx: np.ndarray, w: WindowSpec, options: NormalizeOptions) -> np.ndarray:
-    """Field-normalized scores for the given cohort indices (pooled field means).
+def nics_array(corpus: Corpus, cohort_idx: np.ndarray, w: WindowSpec, *, exclude_self: bool,
+               mics_per_year: bool, rho_scope: str) -> np.ndarray:
+    """Field-normalized scores for the given cohort indices: each ics divided by
+    the mean ics of its field in the cohort, or of its field and publication
+    year when ``mics_per_year`` is set.
 
     Fields whose cohort members are all uncited get score 0 throughout.
     """
     if len(cohort_idx) == 0:
         raise ValueError("empty cohort")
-    scores = ics_array(corpus, w, options)[cohort_idx]
-    if options.mics_per_year:
+    scores = ics_array(corpus, w, exclude_self=exclude_self, rho_scope=rho_scope)[cohort_idx]
+    if mics_per_year:
         n_years = corpus.span[1] - corpus.span[0] + 1
         group = corpus.field_code[cohort_idx].astype(np.int64) * n_years + (corpus.pub_year[cohort_idx] - corpus.span[0])
     else:
@@ -90,16 +79,6 @@ def nics_array(corpus: Corpus, cohort_idx: np.ndarray, w: WindowSpec, options: N
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     denom = means[group]
     return np.divide(scores, denom, out=np.zeros_like(scores), where=denom > 0)
-
-
-def nics(cohort: list[str], w: WindowSpec, corpus: Corpus, options: NormalizeOptions | None = None) -> dict[str, float]:
-    """Normalized citation score per article id for a study cohort."""
-    if not cohort:
-        raise ValueError("empty cohort")
-    options = options or NormalizeOptions()
-    idx = np.asarray([corpus.id_index[a] for a in cohort], dtype=np.int64)
-    scores = nics_array(corpus, idx, w, options)
-    return {a: float(s) for a, s in zip(cohort, scores)}
 
 
 def field_mean_reference_table(corpus: Corpus, length: int, exclude_self: bool = False) -> np.ndarray:
@@ -116,40 +95,3 @@ def field_mean_reference_table(corpus: Corpus, length: int, exclude_self: bool =
     refs = np.bincount(art_group[corpus.citing[mask]], minlength=n_fields * n_years)
     means = np.divide(refs, counts, out=np.zeros(n_fields * n_years), where=counts > 0)
     return means.reshape(n_fields, n_years)
-
-
-def field_mean_references(corpus: Corpus, field: str, ref_year: int, w: WindowSpec, exclude_self: bool = False) -> float:
-    """Mean in-window reference count of a field's articles published in ref_year."""
-    fcode = corpus.fields.index(field)
-    cell = (corpus.field_code == fcode) & (corpus.pub_year == ref_year)
-    if not cell.any():
-        raise ValueError(f"empty field-year cell ({field!r}, {ref_year})")
-    table = field_mean_reference_table(corpus, w.length, exclude_self)
-    return float(table[fcode, ref_year - corpus.span[0]])
-
-
-def normalized_reference_count(
-    cited_id: str,
-    ref_year: int,
-    w: WindowSpec,
-    corpus: Corpus,
-    options: NormalizeOptions | None = None,
-) -> float:
-    """Field-weighted count of references received by one article in ref_year.
-
-    Each incoming citation from a citing article of field k published in
-    ref_year contributes 1/mref_k, with mref_k taken per (field, ref_year).
-    """
-    options = options or NormalizeOptions()
-    idx = corpus.id_index[cited_id]
-    pub = int(corpus.pub_year[idx])
-    if not (ref_year - w.length <= pub <= ref_year - 1):
-        raise ValueError("article is outside the backward cited population for ref_year")
-    mask = (corpus.cited == idx) & (corpus.citing_year == ref_year)
-    if options.exclude_self:
-        mask &= ~corpus.self_edge
-    if not mask.any():
-        return 0.0
-    table = field_mean_reference_table(corpus, w.length, options.exclude_self)
-    mref = table[corpus.field_code[corpus.citing[mask]], ref_year - corpus.span[0]]
-    return float((1.0 / mref).sum())

@@ -29,7 +29,8 @@ import numpy as np
 from citeconc import concentration
 from citeconc.corpus import Corpus, filter_core_journals
 from citeconc.normalize import (
-    NormalizeOptions,
+    RHO_SCOPE_ALL_EDGES,
+    RHO_SCOPE_STUDY,
     field_mean_reference_table,
     nics_array,
 )
@@ -37,6 +38,7 @@ from citeconc.windows import (
     BACKWARD,
     FORWARD,
     WindowSpec,
+    cited_population_backward,
     eligible_pub_years_forward,
     in_window_edge_mask,
 )
@@ -67,11 +69,13 @@ class StudyConfig:
     region_removed: str | None = None
     drop_earliest_population: bool = False
     mics_per_year: bool = False
-    rho_scope: str = "study"
+    rho_scope: str = RHO_SCOPE_STUDY
 
     def __post_init__(self):
         if self.approach not in (CITATION_BASED, REFERENCE_BASED):
             raise ValueError(f"unknown approach {self.approach!r}")
+        if self.rho_scope not in (RHO_SCOPE_STUDY, RHO_SCOPE_ALL_EDGES):
+            raise ValueError(f"unknown rho scope {self.rho_scope!r}")
         want = FORWARD if self.approach == CITATION_BASED else BACKWARD
         if self.window.direction != want:
             raise ValueError(f"{self.approach} requires a {want} window")
@@ -109,9 +113,6 @@ class SeriesReport:
     columns: list[str]
     rows: list[dict[str, Any]] = field(default_factory=list)
 
-    def column(self, name: str) -> list[Any]:
-        return [r.get(name) for r in self.rows]
-
 
 def _prepare(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray]:
     """The corpus a study reads (core journals only, region removed) and the
@@ -134,20 +135,12 @@ def _prepare(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray]:
     return work, order
 
 
-def _norm_options(cfg: StudyConfig) -> NormalizeOptions:
-    return NormalizeOptions(
-        exclude_self=cfg.exclude_self_citations,
-        mics_per_year=cfg.mics_per_year,
-        rho_scope=cfg.rho_scope,
-    )
-
-
 def backward_reference_years(corpus: Corpus, cfg: StudyConfig) -> list[int]:
+    """Reference years whose cited population lies inside the span, less the
+    first of them when `drop_earliest_population` is set."""
     start, end = corpus.span
-    first = start + cfg.window.length
-    if cfg.drop_earliest_population:
-        first += 1
-    return list(range(first, end + 1))
+    years = [y for y in range(start, end + 1) if cited_population_backward(y, corpus.span, cfg.window) is not None]
+    return years[1:] if cfg.drop_earliest_population else years
 
 
 def _score_table(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray, Iterator[Row]]:
@@ -160,7 +153,6 @@ def _score_table(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray, 
 
 def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
     start, end = work.span
-    length = cfg.window.length
     # Articles published in [a, b) are order[at[a - start]:at[b - start]].
     at = np.searchsorted(work.pub_year[order], np.arange(start, end + 2, dtype=work.pub_year.dtype))
     if cfg.approach == CITATION_BASED:
@@ -170,7 +162,8 @@ def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) 
         # Field means are summed over the pooled cohorts in ascending article order.
         pooled = np.sort(order[:at[len(years)]])
         if cfg.normalized and len(pooled):
-            scores[pooled] = nics_array(work, pooled, cfg.window, _norm_options(cfg))
+            scores[pooled] = nics_array(work, pooled, cfg.window, exclude_self=cfg.exclude_self_citations,
+                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope)
         for y in years:
             pop = order[at[y - start]:at[y - start + 1]]
             yield y, pop, raw[pop], scores[pop]
@@ -179,10 +172,11 @@ def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) 
     citing_year = work.citing_year[edges]
     edge_at = np.searchsorted(citing_year, np.arange(start, end + 2, dtype=citing_year.dtype))
     if cfg.normalized:
-        mref = field_mean_reference_table(work, length, exclude_self=cfg.exclude_self_citations)
+        mref = field_mean_reference_table(work, cfg.window.length, exclude_self=cfg.exclude_self_citations)
         weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
     for y in backward_reference_years(work, cfg):
-        pop = order[at[y - length - start]:at[y - start]]
+        pub = cited_population_backward(y, work.span, cfg.window)
+        pop = order[at[pub.start - start]:at[pub.stop - start]]
         lo, hi = edge_at[y - start], edge_at[y - start + 1]
         cited = work.cited[edges[lo:hi]]
         raw = np.bincount(cited, minlength=work.n_articles)[pop]
@@ -227,14 +221,6 @@ def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -
     _, _, rows = _score_table(corpus, cfg)
     report.rows = [_gini_row(y, raw, scores, cfg.include_uncited) for y, _, raw, scores in rows]
     return report
-
-
-def end_to_end_change(report: SeriesReport) -> float:
-    """Metric difference between the last and first non-null years of a series."""
-    vals = [r["gini"] for r in report.rows if r.get("gini") is not None]
-    if len(vals) < 2:
-        raise ValueError("need at least 2 non-null rows")
-    return float(vals[-1] - vals[0])
 
 
 def _uncited_rows(corpus: Corpus, cfg: StudyConfig) -> list[dict[str, Any]]:

@@ -1,9 +1,11 @@
-"""Citation-window semantics for the forward (citation-counting) and backward
-(reference-counting) approaches.
+"""Citation windows: the vectorised rules the studies' score table applies.
 
-The publication year itself is never counted; a forward window of length W over
-publication year y covers calendar years y+1 .. y+W. Cohort eligibility demands
-the full window be observable inside the corpus span.
+The publication year itself is never counted. A forward window of length W
+over publication year y covers citing years y+1 .. y+W, and only cohorts whose
+full window fits inside the corpus span are eligible. A backward window of
+length W over reference year y reads the references made in y to articles
+published in y-W .. y-1. :func:`in_window_edge_mask` applies the year gap to
+every edge at once; ``tests/oracle.py`` is the per-article reference.
 """
 
 from __future__ import annotations
@@ -22,22 +24,12 @@ BACKWARD = "backward"
 class WindowSpec:
     direction: str
     length: int
-    exclude_pub_year: bool = True
 
     def __post_init__(self):
         if self.direction not in (FORWARD, BACKWARD):
             raise ValueError(f"unknown window direction {self.direction!r}")
         if self.length < 1:
             raise ValueError("window length must be >= 1")
-        if not self.exclude_pub_year:
-            raise ValueError("same-year citations are never counted")
-
-
-def counted_years(pub_year: int, w: WindowSpec) -> range:
-    """Calendar years in which citations to an article published in pub_year count."""
-    if w.direction != FORWARD:
-        raise ValueError("counted_years requires a forward window")
-    return range(pub_year + 1, pub_year + w.length + 1)
 
 
 def eligible_pub_years_forward(span: tuple[int, int], w: WindowSpec) -> range:
@@ -65,13 +57,3 @@ def in_window_edge_mask(corpus: Corpus, length: int, exclude_self: bool = False)
     if exclude_self:
         mask &= ~corpus.self_edge
     return mask
-
-
-def citations_in_window(article_id: str, w: WindowSpec, corpus: Corpus, exclude_self: bool = False) -> dict[int, int]:
-    """Per-year incoming citation counts for one article, restricted to its window."""
-    if w.direction != FORWARD:
-        raise ValueError("forward window required")
-    idx = corpus.id_index[article_id]
-    mask = (corpus.cited == idx) & in_window_edge_mask(corpus, w.length, exclude_self)
-    years, counts = np.unique(corpus.citing_year[mask], return_counts=True)
-    return {int(y): int(c) for y, c in zip(years, counts)}

@@ -125,6 +125,20 @@ def test_validate_inverted_span_and_undecodable_input(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_oversized_field_is_a_data_error_for_validate_and_analyze(tmp_path, capsys):
+    arts, edges = write_fixture_tables(tmp_path)
+    # 30,000 authors make an author_ids field longer than the csv module's limit
+    Path(arts).write_text(ARTICLES_TSV + "F\t2001\tPhys\tAsia\tJ1\t" + ";".join(f"a{i}" for i in range(30_000)) + "\n")
+    assert main(["validate", arts, edges]) == 2
+    assert capsys.readouterr().err == "error: articles line 7: field larger than field limit (131072)\n"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"corpus.articles = {arts}\ncorpus.edges = {edges}\nspan.start = 2000\nspan.end = 2004\n"
+                   f"output.dir = {tmp_path / 'out'}\nstudies = g\ng.type = gini\n")
+    assert main(["analyze", str(cfg)]) == 2
+    assert capsys.readouterr().err == "data error: articles line 7: field larger than field limit (131072)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_params_schedule_override_keeps_the_scenario_span():
     run = build_run(parse_config("corpus.scenario = stationary\ngen.articles.start = 100\n"
                                  "gen.articles.end = 390\ngen.refs.end = 2\nseed = 5\nstudies = g\ng.type = gini\n"))

@@ -1,19 +1,37 @@
 import numpy as np
 import pytest
 
-from citeconc.normalize import (
-    NormalizeOptions,
-    field_mean_references,
-    ics,
-    nics,
-    normalized_reference_count,
-    year_weights,
-)
+import oracle
+from citeconc import studies
+from citeconc.normalize import field_mean_reference_table, ics_array, nics_array, year_weights
 from citeconc.windows import WindowSpec
 from conftest import make_corpus
 
 FWD2 = WindowSpec("forward", 2)
 BWD2 = WindowSpec("backward", 2)
+
+
+def nics(cohort, w, corpus, exclude_self=False, mics_per_year=False, rho_scope="study"):
+    """The library's normalized score per article id of a cohort."""
+    idx = np.asarray([corpus.id_index[a] for a in cohort], dtype=np.int64)
+    scores = nics_array(corpus, idx, w, exclude_self=exclude_self, mics_per_year=mics_per_year, rho_scope=rho_scope)
+    return dict(zip(cohort, scores.tolist()))
+
+
+def field_mean_references(corpus, field, ref_year, w, exclude_self=False):
+    """One cell of the library's field mean reference table."""
+    table = field_mean_reference_table(corpus, w.length, exclude_self)
+    return float(table[corpus.fields.index(field), ref_year - corpus.span[0]])
+
+
+def backward_scores(corpus, ref_year, w, exclude_self=False):
+    """The library's normalized reference counts of ref_year's cited population, by id."""
+    cfg = studies.StudyConfig(window=w, approach="reference_based", exclude_self_citations=exclude_self)
+    work, _, rows = studies._score_table(corpus, cfg)
+    for year, pop, _, scores in rows:
+        if year == ref_year:
+            return {work.ids[i]: s for i, s in zip(pop.tolist(), scores.tolist())}
+    raise KeyError(ref_year)
 
 
 def test_year_weights_fixture(fixture_corpus):
@@ -36,12 +54,12 @@ def test_year_weights_empty():
 
 def test_ics_fixture(fixture_corpus):
     c = fixture_corpus
-    w = year_weights(c)
+    scores = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
     # A: 1 cite in 2001 (rho 1.0) + 1 in 2002 (rho 0.5)
-    assert ics("A", FWD2, w, c) == pytest.approx(1.5)
-    assert ics("B", FWD2, w, c) == pytest.approx(0.5)
-    assert ics("C", FWD2, w, c) == pytest.approx(0.5)
-    assert ics("D", FWD2, w, c) == 0.0
+    assert scores[c.id_index["A"]] == pytest.approx(1.5)
+    assert scores[c.id_index["B"]] == pytest.approx(0.5)
+    assert scores[c.id_index["C"]] == pytest.approx(0.5)
+    assert scores[c.id_index["D"]] == 0.0
 
 
 def test_nics_fixture_manual(fixture_corpus):
@@ -81,17 +99,20 @@ def test_field_mean_nics_is_one(fixture_corpus):
 
 def test_nics_invariant_under_uniform_rho_scaling(fixture_corpus):
     c = fixture_corpus
-    w = year_weights(c)
+    t = oracle.read(c)
+    w = oracle.year_weights(t)
     cohort = ["A", "B", "C", "D"]
-    base = {a: ics(a, FWD2, w, c) for a in cohort}
-    scaled = {a: ics(a, FWD2, {y: 3.7 * v for y, v in w.items()}, c) for a in cohort}
+    base = {a: oracle.ics(t, a, 2, w) for a in cohort}
+    scaled = {a: oracle.ics(t, a, 2, {y: 3.7 * v for y, v in w.items()}) for a in cohort}
+    library = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
+    assert base == pytest.approx({a: library[c.id_index[a]] for a in cohort}, rel=1e-12)
 
     def norm(sc):
         by_field = {}
         for a, v in sc.items():
-            by_field.setdefault(c.article(a).field, []).append(v)
+            by_field.setdefault(t.articles[a].field, []).append(v)
         means = {f: np.mean(v) for f, v in by_field.items()}
-        return {a: v / means[c.article(a).field] for a, v in sc.items()}
+        return {a: v / means[t.articles[a].field] for a, v in sc.items()}
 
     for a in cohort:
         assert norm(base)[a] == pytest.approx(norm(scaled)[a], rel=1e-12)
@@ -124,12 +145,17 @@ def test_rank_preservation_within_field_year_cell():
 
 def test_field_mean_references_fixture(fixture_corpus):
     c = fixture_corpus
+    t = oracle.read(c)
     # D (Bio, 2002) has 2 in-window refs (A and B, both 2000, W=2)
     assert field_mean_references(c, "Bio", 2002, BWD2) == pytest.approx(2.0)
+    assert oracle.field_mean_references(t, "Bio", 2002, 2) == pytest.approx(2.0)
     # E (Phys, 2003): only E->C (2001) is in window; E->B (2000) falls outside
     assert field_mean_references(c, "Phys", 2003, BWD2) == pytest.approx(1.0)
+    assert oracle.field_mean_references(t, "Phys", 2003, 2) == pytest.approx(1.0)
+    # no Bio article is published in 2003: the table reads 0, the oracle refuses the cell
+    assert field_mean_references(c, "Bio", 2003, BWD2) == 0.0
     with pytest.raises(ValueError, match="empty field-year cell"):
-        field_mean_references(c, "Bio", 2003, BWD2)
+        oracle.field_mean_references(t, "Bio", 2003, 2)
 
 
 def test_field_mean_references_two_articles():
@@ -144,13 +170,18 @@ def test_field_mean_references_two_articles():
 
 def test_normalized_reference_count_fixture(fixture_corpus):
     c = fixture_corpus
+    t = oracle.read(c)
+    in_2002, in_2003 = backward_scores(c, 2002, BWD2), backward_scores(c, 2003, BWD2)
     # A gets one 2002 citation from Bio (mref 2.0) -> 0.5
-    assert normalized_reference_count("A", 2002, BWD2, c) == pytest.approx(0.5)
-    assert normalized_reference_count("B", 2002, BWD2, c) == pytest.approx(0.5)
+    assert in_2002["A"] == pytest.approx(0.5)
+    assert in_2002["B"] == pytest.approx(0.5)
     # C gets one 2003 citation from Phys (mref 1.0) -> 1.0
-    assert normalized_reference_count("C", 2003, BWD2, c) == pytest.approx(1.0)
+    assert in_2003["C"] == pytest.approx(1.0)
     # in population but unreferenced that year
-    assert normalized_reference_count("C", 2002, BWD2, c) == 0.0
+    assert in_2002["C"] == 0.0
+    for ref_year, scores in ((2002, in_2002), (2003, in_2003)):
+        assert scores == pytest.approx({a: oracle.normalized_reference_count(t, a, ref_year, 2) for a in scores},
+                                       rel=1e-12)
 
 
 def test_normalized_reference_count_two_fields():
@@ -164,13 +195,19 @@ def test_normalized_reference_count_two_fields():
     edges = "citing_id\tcited_id\nX\tT\nY\tT\nY\tU\n"
     c = make_corpus(arts, edges, span=(2000, 2002))
     w = WindowSpec("backward", 1)
-    assert normalized_reference_count("T", 2001, w, c) == pytest.approx(1.0 / 1 + 1.0 / 2)
-    assert normalized_reference_count("U", 2001, w, c) == pytest.approx(0.5)
+    scores = backward_scores(c, 2001, w)
+    assert scores["T"] == pytest.approx(1.0 / 1 + 1.0 / 2)
+    assert scores["U"] == pytest.approx(0.5)
+    t = oracle.read(c)
+    assert oracle.normalized_reference_count(t, "T", 2001, 1) == pytest.approx(1.0 / 1 + 1.0 / 2)
+    assert oracle.normalized_reference_count(t, "U", 2001, 1) == pytest.approx(0.5)
 
 
 def test_normalized_reference_count_outside_population(fixture_corpus):
+    # B is 2000, pop is 2001-2002
+    assert "B" not in backward_scores(fixture_corpus, 2003, BWD2)
     with pytest.raises(ValueError, match="outside the backward"):
-        normalized_reference_count("B", 2003, BWD2, fixture_corpus)  # B is 2000, pop is 2001-2002
+        oracle.normalized_reference_count(oracle.read(fixture_corpus), "B", 2003, 2)
 
 
 def test_backward_accounting_identity(fixture_corpus):
@@ -178,7 +215,8 @@ def test_backward_accounting_identity(fixture_corpus):
     # (in-window edges from that field) / mref_field
     c = fixture_corpus
     for ref_year, pop in [(2002, ["A", "B"]), (2003, ["C", "D"])]:
-        total = sum(normalized_reference_count(a, ref_year, BWD2, c) for a in pop)
+        scores = backward_scores(c, ref_year, BWD2)
+        total = sum(scores[a] for a in pop)
         by_field = {}
         for j in range(c.n_edges):
             if int(c.citing_year[j]) != ref_year:
@@ -192,8 +230,18 @@ def test_backward_accounting_identity(fixture_corpus):
 
 
 def test_rho_scope_all_edges(fixture_corpus):
-    opts = NormalizeOptions(exclude_self=True, rho_scope="all_edges")
-    scores = nics(["A", "B", "C", "D"], FWD2, fixture_corpus, opts)
+    cohort = ["A", "B", "C", "D"]
+    scores = nics(cohort, FWD2, fixture_corpus, exclude_self=True, rho_scope="all_edges")
     # self-citation C->A removed from counting but 2001 keeps its weight
     assert scores["D"] == 0.0
     assert all(v >= 0 for v in scores.values())
+    # ics: A = B = C = 0.5 (D->A, D->B and E->C at rho 0.5), D = 0;
+    # Phys mean (A, C) = 0.5, Bio mean (B, D) = 0.25
+    expected = oracle.nics(oracle.read(fixture_corpus), cohort, 2, exclude_self=True, rho_scope="all_edges")
+    assert expected == {"A": 1.0, "B": 2.0, "C": 1.0, "D": 0.0}
+    assert scores == pytest.approx(expected, rel=1e-12)
+
+
+def test_unknown_rho_scope_is_rejected():
+    with pytest.raises(ValueError, match="unknown rho scope"):
+        studies.StudyConfig(window=FWD2, rho_scope="everything")

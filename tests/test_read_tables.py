@@ -2,8 +2,9 @@
 
 The reference reads the same text with plain ``csv`` and dicts and shares no
 helper with ``citeconc.corpus``. Both see dirty input: CRLF and LF line ends,
-quoted fields, blank lines, empty or repeated author lists, rows outside the
-span, every edge drop reason and at most one malformed row.
+quoted fields (an author list may span two lines), blank lines, empty or
+repeated author lists, rows outside the span, every edge drop reason and at
+most one malformed row. Line numbers are the physical lines rows start on.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from citeconc.cli import main
 from citeconc.corpus import DataError, load_corpus, read_tables
 
@@ -29,6 +31,15 @@ class Rejected(Exception):
     """The reference found the input unreadable at (table, line); line is None for a header."""
 
 
+def physical_lines(reader):
+    """(line on which the row starts, row) for each row after the header; a
+    quoted field may span lines."""
+    line = reader.line_num + 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
+
+
 def reference_read(articles_text, edges_text, span):
     """Retained article dicts, retained (citing, cited) id pairs, drop tallies and rows read."""
     reader = csv.reader(io.StringIO(articles_text, newline=""), delimiter="\t")
@@ -38,7 +49,7 @@ def reference_read(articles_text, edges_text, span):
     kept = {}
     drops = {"out_of_span": 0, "dangling": 0, "self_loop": 0, "future_dated": 0, "duplicate_edge": 0}
     rows_read = [0, 0]
-    for line, row in enumerate(reader, start=2):
+    for line, row in physical_lines(reader):
         if not row:
             continue
         rows_read[0] += 1
@@ -61,7 +72,7 @@ def reference_read(articles_text, edges_text, span):
     if [c.strip() for c in next(reader, [])] != EDGE_HEADER:
         raise Rejected("edges", None)
     edges = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in physical_lines(reader):
         if not row:
             continue
         rows_read[1] += 1
@@ -88,7 +99,7 @@ def rejected_at(err: DataError):
 
 EOL = st.sampled_from(["\n", "\r\n"])
 FIELDS = ["F0", "F1", "Field two", 'F"3', "F\t4"]
-AUTHOR_TEXT = st.lists(st.sampled_from(["a1", "a2", "a3", ""]), max_size=4).map(";".join)
+AUTHOR_TEXT = st.lists(st.sampled_from(["a1", "a2", "a3", "", "a4\na5"]), max_size=4).map(";".join)
 FAULTS = ["header", "columns", "year", "field", "duplicate", "edge_columns"]
 
 
@@ -120,7 +131,7 @@ def dirty_tables(draw):
         lines = ["\t".join(header) + draw(EOL)]
         for row in rows:
             lines += draw(st.lists(EOL, max_size=1))  # a blank line
-            cells = ['"' + c.replace('"', '""') + '"' if '"' in c or "\t" in c or draw(st.booleans()) else c
+            cells = ['"' + c.replace('"', '""') + '"' if '"' in c or "\t" in c or "\n" in c or draw(st.booleans()) else c
                      for c in row]
             lines.append("\t".join(cells) + draw(EOL))
         text = "".join(lines)
@@ -196,5 +207,6 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
     assert (c.n_articles, c.n_edges) == (report["articles retained"], report["edges retained"])
     assert list(c.drops.items()) == report["drops"]
     assert c.rows_read == (report["articles read"], report["edges read"])
+    records = oracle.read(c).articles
     for rec in kept:
-        assert c.article(rec["id"]).author_ids == {a for a in rec["author_ids"].split(";") if a}
+        assert records[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}

