@@ -29,6 +29,8 @@ class DataError(Exception):
 class Corpus:
     """Immutable column store of articles plus a deduplicated citation edge list.
 
+    Article ``i`` has the id ``ids[i]``; ids are distinct (a repeat is a :class:`DataError`, which
+    for input files :func:`read_tables` raises with the line number).
     Fields, regions, journals and authors are integer codes into label lists.
     Authors are in CSR form: article ``i`` has the distinct authors ``authors[c]``
     for ``c`` in ``author_code[author_ptr[i]:author_ptr[i + 1]]``, listed in
@@ -62,8 +64,7 @@ class Corpus:
         rows_read: tuple[int, int] = (0, 0),
     ):
         self.ids = ids
-        self.id_index = {a: i for i, a in enumerate(ids)}
-        if len(self.id_index) != len(ids):
+        if len(set(ids)) != len(ids):
             raise DataError("duplicate article id in corpus construction")
         self.pub_year = np.asarray(pub_year, dtype=np.int32)
         self.field_code = np.asarray(field_code, dtype=np.int32)
@@ -123,8 +124,9 @@ class Corpus:
         )
 
 
-# (edge, citing author) pairs per pass of _compute_self_edges: bounds its memory.
-_SELF_EDGE_CHUNK = 1 << 20
+# (edge, citing author) pairs per pass of _compute_self_edges: bounds its peak
+# memory, a few int64 arrays of this length per pass.
+_SELF_EDGE_CHUNK = 1 << 18
 
 
 def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
@@ -144,6 +146,8 @@ def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
         edge = np.repeat(np.arange(lo, hi), k)
         pos = np.repeat(author_ptr[citing[lo:hi]] - (np.cumsum(k) - k), k) + np.arange(len(edge))
         probe = cited[edge] * n_codes + author_code[pos]
+        order = np.argsort(probe)  # sorted probes make searchsorted far faster
+        probe, edge = probe[order], edge[order]
         at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
         out[edge[keys[at] == probe]] = True
     return out

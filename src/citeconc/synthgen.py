@@ -68,23 +68,14 @@ class GenParams:
 
 
 def _first_distinct(draws: np.ndarray, quota: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep, per row, the first `quota` distinct values in draw order.
-
-    Returns (keep mask over draws, per-row number kept).
-    """
-    n_rows, n_cols = draws.shape
-    rows = np.repeat(np.arange(n_rows), n_cols)
-    vals = draws.ravel()
-    pos = np.tile(np.arange(n_cols), n_rows)
-    order = np.lexsort((pos, vals, rows))
-    rs, vs = rows[order], vals[order]
-    head = np.ones(len(vs), dtype=bool)
-    head[1:] = (rs[1:] != rs[:-1]) | (vs[1:] != vs[:-1])
-    keep = np.zeros(n_rows * n_cols, dtype=bool)
-    keep[order[head]] = True
-    keep = keep.reshape(n_rows, n_cols)
-    rank = np.cumsum(keep, axis=1)
-    keep &= rank <= quota[:, None]
+    """Keep, per row, the first `quota` distinct values of the non-negative `draws` in draw order (of
+    equal values, the earliest drawn). Returns (keep mask over draws, per-row number kept)."""
+    order = np.argsort(draws, axis=1, kind="stable")  # stable: equal values stay in draw order
+    vs = np.take_along_axis(draws, order, axis=1)
+    head = np.diff(vs, axis=1, prepend=-1) != 0
+    keep = np.empty_like(head)
+    np.put_along_axis(keep, order, head, axis=1)
+    keep &= np.cumsum(keep, axis=1) <= quota[:, None]
     return keep, keep.sum(axis=1)
 
 
@@ -158,15 +149,19 @@ def generate(params: GenParams) -> Corpus:
         cdf /= cdf[-1]
 
         n_cols = int(quota.max()) + max(4, int(quota.max()) // 2)
-        draws = np.searchsorted(cdf, rng.random((a_count, n_cols))).astype(np.int64)
+        u = rng.random(a_count * n_cols)
+        order = np.argsort(u)  # sorted queries make searchsorted far faster
+        draws = np.empty(len(u), dtype=np.int64)
+        draws[order] = np.searchsorted(cdf, u[order])  # scattered back to draw order
+        draws = draws.reshape(a_count, n_cols)
+        del u, order  # else the last year's copies are still held at the generator's memory peak
         np.clip(draws, 0, n_prior - 1, out=draws)
         keep, got = _first_distinct(draws, quota)
         citing = year_first[t] + np.repeat(np.arange(a_count), got)
         cited = draws[keep]
         deficit_rows = np.flatnonzero(got < quota)
         if len(deficit_rows):
-            extra_citing = []
-            extra_cited = []
+            extra_citing, extra_cited = [], []
             for i in deficit_rows:
                 have = set(draws[i][keep[i]].tolist())
                 while len(have) < quota[i]:
@@ -193,7 +188,8 @@ def generate(params: GenParams) -> Corpus:
 
     width = max(6, len(str(n_total)))
     ids = [f"p{i:0{width}d}" for i in range(n_total)]
-    author_keys = np.unique(np.concatenate(author_keys))
+    author_keys = np.sort(np.concatenate(author_keys))
+    author_keys = author_keys[np.diff(author_keys, prepend=-1) != 0]  # not np.unique: its int64 hash path is slow
     author_ptr = np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))])
     author_code = author_keys % n_codes
 

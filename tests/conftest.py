@@ -26,6 +26,11 @@ A\tC
 """
 
 
+def id_index(corpus) -> dict[str, int]:
+    """Article id -> row of a corpus, built from its ``ids`` column."""
+    return {a: i for i, a in enumerate(corpus.ids)}
+
+
 def make_corpus(articles: str = ARTICLES_TSV, edges: str = EDGES_TSV, span=(2000, 2004)):
     return load_corpus(io.StringIO(articles), io.StringIO(edges), span)
 

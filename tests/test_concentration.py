@@ -161,4 +161,6 @@ def test_top_share_monotone_in_pct(values, p1, p2):
 @settings(max_examples=100, deadline=None)
 def test_top_share_scale_invariance(values, c, pct):
     x = np.asarray(values)
+    if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to zero
+        return
     assert top_share(Distribution(c * x), pct) == pytest.approx(top_share(Distribution(x), pct), abs=1e-9)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from citeconc import corpus as corpus_mod
 from citeconc.corpus import (
+    Corpus,
     DataError,
     filter_core_journals,
     load_corpus,
@@ -72,6 +73,20 @@ def test_duplicate_article_id_is_hard_error():
     arts = ART_HEADER + "A\t1990\tF\tR\tJ\t\nA\t2001\tF\tR\tJ\t\n"
     with pytest.raises(DataError, match="line 3: duplicate article id"):
         make_corpus(arts, EDGE_HEADER, span=(2000, 2002))
+
+
+def test_corpus_constructor_rejects_duplicate_ids():
+    def build(ids):
+        n = len(ids)
+        return Corpus(ids=ids, pub_year=np.full(n, 2000), field_code=np.zeros(n), fields=["F"],
+                      region_code=np.zeros(n), regions=["R"], journal_code=np.zeros(n), journals=["J"],
+                      author_ptr=np.zeros(n + 1), author_code=np.zeros(0), authors=[],
+                      citing=np.zeros(0), cited=np.zeros(0), self_edge=np.zeros(0, bool),
+                      span=(2000, 2000), drops={})
+
+    assert build(["A", "B", "C"]).n_articles == 3
+    with pytest.raises(DataError, match=r"^duplicate article id in corpus construction$"):
+        build(["A", "B", "A"])
 
 
 def test_malformed_rows_report_line_numbers():

@@ -5,7 +5,7 @@ import oracle
 from citeconc import studies
 from citeconc.normalize import field_mean_reference_table, ics_array, nics_array, year_weights
 from citeconc.windows import WindowSpec
-from conftest import make_corpus
+from conftest import id_index, make_corpus
 
 FWD2 = WindowSpec("forward", 2)
 BWD2 = WindowSpec("backward", 2)
@@ -13,7 +13,8 @@ BWD2 = WindowSpec("backward", 2)
 
 def nics(cohort, w, corpus, exclude_self=False, mics_per_year=False, rho_scope="study"):
     """The library's normalized score per article id of a cohort."""
-    idx = np.asarray([corpus.id_index[a] for a in cohort], dtype=np.int64)
+    row = id_index(corpus)
+    idx = np.asarray([row[a] for a in cohort], dtype=np.int64)
     scores = nics_array(corpus, idx, w, exclude_self=exclude_self, mics_per_year=mics_per_year, rho_scope=rho_scope)
     return dict(zip(cohort, scores.tolist()))
 
@@ -55,11 +56,12 @@ def test_year_weights_empty():
 def test_ics_fixture(fixture_corpus):
     c = fixture_corpus
     scores = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
+    row = id_index(c)
     # A: 1 cite in 2001 (rho 1.0) + 1 in 2002 (rho 0.5)
-    assert scores[c.id_index["A"]] == pytest.approx(1.5)
-    assert scores[c.id_index["B"]] == pytest.approx(0.5)
-    assert scores[c.id_index["C"]] == pytest.approx(0.5)
-    assert scores[c.id_index["D"]] == 0.0
+    assert scores[row["A"]] == pytest.approx(1.5)
+    assert scores[row["B"]] == pytest.approx(0.5)
+    assert scores[row["C"]] == pytest.approx(0.5)
+    assert scores[row["D"]] == 0.0
 
 
 def test_nics_fixture_manual(fixture_corpus):
@@ -105,7 +107,8 @@ def test_nics_invariant_under_uniform_rho_scaling(fixture_corpus):
     base = {a: oracle.ics(t, a, 2, w) for a in cohort}
     scaled = {a: oracle.ics(t, a, 2, {y: 3.7 * v for y, v in w.items()}) for a in cohort}
     library = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
-    assert base == pytest.approx({a: library[c.id_index[a]] for a in cohort}, rel=1e-12)
+    row = id_index(c)
+    assert base == pytest.approx({a: library[row[a]] for a in cohort}, rel=1e-12)
 
     def norm(sc):
         by_field = {}

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from citeconc import synthgen
@@ -43,6 +45,44 @@ def test_params_validation():
         base_params(field_mix=(("F", 0.5), ("G", 0.4)))
     with pytest.raises(ValueError, match="sum to 1"):
         base_params(region_mix=(("R", 0.5, 1.0), ("S", 0.5, 0.5)))
+
+
+def first_distinct_reference(draws, quota):
+    """Per row, flag the first `quota` distinct values in draw order."""
+    keep = []
+    for row, q in zip(draws, quota):
+        seen = set()
+        flags = []
+        for v in row:
+            flags.append(len(seen) < q and v not in seen)
+            if flags[-1]:
+                seen.add(v)
+        keep.append(flags)
+    return keep
+
+
+@st.composite
+def draw_rows(draw):
+    n_cols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, 4), min_size=n_cols, max_size=n_cols), max_size=6))
+    quota = draw(st.lists(st.integers(0, n_cols + 2), min_size=len(rows), max_size=len(rows)))
+    return rows, quota
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw_rows())
+@example(([[3, 3, 3, 3]], [2]))              # one repeated value
+@example(([[1, 2, 1, 0]], [0]))              # quota 0
+@example(([[1, 2, 1, 2, 1]], [5]))           # quota above the number of distinct values
+@example(([[4], [0], [4]], [1, 0, 3]))       # one column
+def test_first_distinct_matches_reference(case):
+    rows, quota = case
+    n_cols = len(rows[0]) if rows else 1
+    draws = np.asarray(rows, dtype=np.int64).reshape(len(rows), n_cols)
+    keep, got = synthgen._first_distinct(draws, np.asarray(quota, dtype=np.int64))
+    expected = first_distinct_reference(rows, quota)
+    assert keep.tolist() == expected
+    assert got.tolist() == [sum(flags) for flags in expected]
 
 
 def test_same_seed_identical_corpora():

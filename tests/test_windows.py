@@ -9,6 +9,7 @@ from citeconc.windows import (
     eligible_pub_years_forward,
     in_window_edge_mask,
 )
+from conftest import id_index
 
 
 def fwd(length):
@@ -21,7 +22,7 @@ def bwd(length):
 
 def citations_in_window(article_id, w, corpus, exclude_self=False):
     """Per-year in-window citation counts of one article, read off the library's edge mask."""
-    mask = in_window_edge_mask(corpus, w.length, exclude_self) & (corpus.cited == corpus.id_index[article_id])
+    mask = in_window_edge_mask(corpus, w.length, exclude_self) & (corpus.cited == id_index(corpus)[article_id])
     return dict(Counter(corpus.citing_year[mask].tolist()))
 
 
