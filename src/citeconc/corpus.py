@@ -124,8 +124,8 @@ class Corpus:
         )
 
 
-# (edge, citing author) pairs per pass of _compute_self_edges: bounds its peak
-# memory, a few int64 arrays of this length per pass.
+# (edge, citing author) pairs per pass of _compute_self_edges: bounds its peak memory, a few int64
+# arrays of this length. At 2^20 they set a 300k-article build's peak; 2^18 is no slower.
 _SELF_EDGE_CHUNK = 1 << 18
 
 

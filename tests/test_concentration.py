@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeconc.concentration import Distribution, gini, lorenz, top_share
@@ -48,9 +48,12 @@ def test_gini_matches_pairwise_oracle():
 
 @given(positive_vectors, st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=200, deadline=None)
+@example(values=[0.0, 5e-324], c=0.5)  # the subnormal underflows to 0
 def test_gini_scale_invariance(values, c):
     x = np.asarray(values)
-    if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to zero
+    if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to an all-zero vector
+        with pytest.raises(ValueError, match="zero mean"):
+            gini(Distribution(c * x))
         return
     assert gini(Distribution(c * x)) == pytest.approx(gini(Distribution(x)), abs=1e-9)
 
@@ -159,8 +162,11 @@ def test_top_share_monotone_in_pct(values, p1, p2):
 
 @given(positive_vectors, st.floats(min_value=1e-3, max_value=1e3), st.floats(0.05, 1.0))
 @settings(max_examples=100, deadline=None)
+@example(values=[0.0, 5e-324], c=0.5, pct=0.5)  # the subnormal underflows to 0
 def test_top_share_scale_invariance(values, c, pct):
     x = np.asarray(values)
-    if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to zero
+    if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to an all-zero vector
+        with pytest.raises(ValueError, match="zero mean"):
+            top_share(Distribution(c * x), pct)
         return
     assert top_share(Distribution(c * x), pct) == pytest.approx(top_share(Distribution(x), pct), abs=1e-9)
