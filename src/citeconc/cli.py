@@ -52,9 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(articles_path: str, edges_path: str, span: tuple[int, int] | None) -> int:
     try:
-        with (open(articles_path, encoding="utf-8", newline="") as fa,
-              open(edges_path, encoding="utf-8", newline="") as fe):
-            tables = corpus_mod.read_tables(fa, fe, span)
+        with open(articles_path, "rb") as fa, open(edges_path, "rb") as fe:
+            tables = corpus_mod.read_tables(fa.read(), fe.read(), span)
     except OSError as e:
         print(f"error: cannot read {e.filename}: {e}", file=sys.stderr)
         return EXIT_DATA

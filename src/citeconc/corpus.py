@@ -8,13 +8,20 @@ Input files are UTF-8 TSV with a header row:
 author_ids is a ``;``-separated list (possibly empty). :func:`read_tables` is
 the one row parser: it holds the row, span and edge-drop rules that both
 :func:`load_corpus` (``analyze``) and ``citeconc validate`` apply.
+
+Both hand it the files' bytes, which it parses column-wise with numpy (the byte
+path). Files with a ``"``, CR or NUL byte, invalid UTF-8 or any row that breaks
+a rule, and text streams, go through the ``csv`` reader instead, with the same
+results, errors and line numbers.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import sys
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -175,30 +182,13 @@ def _rows(source: Iterable[str] | IO[str], columns: list[str], name: str) -> Ite
         raise DataError(f"{name} line {lineno}: {e}") from None
 
 
-def read_tables(
-    articles_source: Iterable[str] | IO[str],
-    edges_source: Iterable[str] | IO[str],
-    span: tuple[int, int] | None,
-) -> dict:
-    """Parse article and edge TSV streams into coded columns: the one row parser.
-
-    Malformed rows (wrong column count, bad year, empty field) and duplicate
-    article ids, whatever their year, raise :class:`DataError`. Articles outside
-    ``span`` are dropped (``span=None`` keeps every year); edges are dropped, in
-    this precedence, as self_loop, dangling (an endpoint not retained),
-    future_dated (cites a later year) and duplicate_edge (first copy kept).
-
-    Returns the :class:`Corpus` keyword arguments ``ids``, ``pub_year``, the
-    field/region/journal codes and labels, ``citing``, ``cited``, ``drops`` and
-    ``rows_read``, plus ``author_text``: each retained article's raw author_ids.
-    """
-    start, end = (int(span[0]), int(span[1])) if span is not None else (-sys.maxsize, sys.maxsize)
-    if start > end:
-        raise ValueError(f"invalid span {span}")
+def _read_csv(articles_source: Iterable[str] | IO[str], edges_source: Iterable[str] | IO[str],
+              start: int, end: int) -> dict:
+    """The csv path of :func:`read_tables`: the per-row rules, and every error they raise."""
     index: dict[str, int] = {}  # every id read -> its retained row, or -1 if out of span
     ids: list[str] = []
     years: list[int] = []
-    author_text: list[str] = []
+    author_text: list[bytes] = []
     field_vocab: dict[str, int] = {}
     field_code: list[int] = []
     region_vocab: dict[str, int] = {}
@@ -226,7 +216,7 @@ def read_tables(
         field_code.append(field_vocab.setdefault(fld, len(field_vocab)))
         region_code.append(region_vocab.setdefault(region, len(region_vocab)))
         journal_code.append(journal_vocab.setdefault(journal, len(journal_vocab)))
-        author_text.append(authors)
+        author_text.append(authors.encode())
 
     citing: list[int] = []
     cited: list[int] = []
@@ -238,64 +228,344 @@ def read_tables(
         citing.append(index.get(src, -1))
         cited.append(index.get(dst, -1))
 
-    pub_year = np.asarray(years, dtype=np.int32)
-    edge_rows = self_loops + len(citing)
-    citing, cited = np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
-    keep = (citing >= 0) & (cited >= 0)
-    n_dangling = len(citing) - int(keep.sum())
-    citing, cited = citing[keep], cited[keep]
-    keep = pub_year[citing] >= pub_year[cited]
-    n_future = len(citing) - int(keep.sum())
-    citing, cited = citing[keep], cited[keep]
-    first = np.sort(np.unique(citing * len(ids) + cited, return_index=True)[1])
-    n_duplicate = len(citing) - len(first)
+    author_len = np.fromiter(map(len, author_text), np.int64, len(author_text))
     return dict(
         ids=ids,
-        pub_year=pub_year,
+        pub_year=np.asarray(years, dtype=np.int32),
         field_code=np.asarray(field_code, dtype=np.int32),
         fields=list(field_vocab),
         region_code=np.asarray(region_code, dtype=np.int32),
         regions=list(region_vocab),
         journal_code=np.asarray(journal_code, dtype=np.int32),
         journals=list(journal_vocab),
-        author_text=author_text,
-        citing=citing[first],
-        cited=cited[first],
-        drops={"out_of_span": art_rows - len(ids), "dangling": n_dangling, "self_loop": self_loops,
+        author_fields=(b"".join(author_text), np.cumsum(author_len) - author_len, np.cumsum(author_len)),
+        citing=np.asarray(citing, dtype=np.int64),
+        cited=np.asarray(cited, dtype=np.int64),
+        self_loops=self_loops,
+        art_rows=art_rows,
+    )
+
+
+def _split_rows(buf: np.ndarray, columns: list[str], header: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The byte range ``[lo, hi)`` of each field of each non-blank row of a piece
+    of a TSV table, shaped (rows, columns), skipping its first line if ``header``;
+    None if that header is not ``columns`` tab-separated, a row has another
+    width, or a field is longer than the csv module's limit."""
+    newline = np.flatnonzero(buf == 10)
+    line_lo = np.concatenate([[0], newline + 1])
+    line_hi = np.append(newline, len(buf))
+    del newline
+    if header:
+        if buf[:line_hi[0]].tobytes() != "\t".join(columns).encode():
+            return None
+        line_lo, line_hi = line_lo[1:], line_hi[1:]
+    nonblank = line_hi > line_lo
+    line_lo, line_hi = line_lo[nonblank], line_hi[nonblank]
+    tabs = np.flatnonzero(buf == 9)[len(columns) - 1 if header else 0:]
+    if len(tabs) != (len(columns) - 1) * len(line_lo):
+        return None
+    tabs = tabs.reshape(len(line_lo), len(columns) - 1)
+    # With the right count, row r's tabs are block r of the tab list, which must lie in line r.
+    if len(line_lo) and ((tabs[:, 0] < line_lo).any() or (tabs[:, -1] >= line_hi).any()):
+        return None
+    lo = np.column_stack([line_lo, tabs + 1])
+    hi = np.column_stack([tabs, line_hi])
+    if len(lo) and (hi - lo).max() > csv.field_size_limit():
+        return None
+    return lo, hi
+
+
+# Bytes of the edges table that the byte path splits and looks up at a time:
+# bounds its memory to a few hundred MB however many edges there are.
+_EDGE_PIECE = 1 << 24
+
+
+def _pieces(data: bytes, size: int) -> Iterator[np.ndarray]:
+    """``data`` as consecutive pieces of whole lines of at least ``size`` bytes
+    (the last may be shorter or empty), viewed as uint8 arrays."""
+    start = 0
+    while True:
+        stop = data.find(b"\n", start + size) + 1 or len(data)
+        yield np.frombuffer(data, np.uint8, stop - start, start)
+        if stop == len(data):
+            return
+        start = stop
+
+
+def _years(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The year in each byte range, or None unless every range holds 1 to 9 ASCII
+    digits (``int`` also reads signs, spaces, underscores and non-ASCII digits)."""
+    n = hi - lo
+    if len(n) and (n.min() < 1 or n.max() > 9):
+        return None
+    year = np.zeros(len(n), np.int64)
+    for j in range(int(n.max(initial=0))):
+        has = n > j
+        digit = buf[np.where(has, lo + j, 0)].astype(np.int64) - ord("0")
+        if ((digit < 0) | (digit > 9))[has].any():
+            return None
+        year = np.where(has, year * 10 + digit, year)
+    return year
+
+
+# Leading bytes of each string that _ranks compares as big-endian uint64 words; it
+# ranks the rest of a longer string in Python.
+_PREFIX = 64
+# _BYTE_MASK[n] keeps the first n bytes of a big-endian uint64 word.
+_BYTE_MASK = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+
+
+def _words(buf: np.ndarray, pos: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The first ``n[i]`` (0 to 8) bytes at ``buf[pos[i]:]`` as a big-endian uint64,
+    zero-padded: one gather of 8-byte windows, not a byte at a time."""
+    if len(buf) < 8:
+        buf = np.concatenate([buf, np.zeros(8, np.uint8)])
+    last = len(buf) - 8
+    word = np.ndarray((last + 1,), ">u8", buf, strides=(1,))[np.minimum(pos, last)]
+    for i in np.flatnonzero((pos > last) & (n > 0)).tolist():  # at most 8 strings start in the last 8 bytes
+        word[i] = int.from_bytes(buf[pos[i]:pos[i] + 8].tobytes().ljust(8, b"\0"), "big")
+    word = word.astype(np.uint64)
+    word &= _BYTE_MASK[n]
+    return word
+
+
+def _ranks(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rank, in ascending byte order, of each string ``buf[lo[i]:hi[i]]`` of
+    the ``(buf, lo, hi)`` parts taken together, and the first row holding each rank.
+
+    Byte order is Python's str order on UTF-8. Strings are compared on their first
+    _PREFIX bytes as zero-padded words, then on the rest, then on their length:
+    two strings of at most _PREFIX bytes tie on their words only if they differ
+    in trailing NUL bytes, so the length is a key only if some string ends in one."""
+    lengths = np.concatenate([hi - lo for _, lo, hi in parts])
+    keys = [lengths] if any((buf[hi[hi > lo] - 1] == 0).any() for buf, lo, hi in parts) else []
+    long = lengths > _PREFIX
+    if long.any():
+        rests = [buf[a + _PREFIX:b].tobytes() for buf, lo, hi in parts
+                 for a, b in zip(lo[hi - lo > _PREFIX].tolist(), hi[hi - lo > _PREFIX].tolist())]
+        rest_rank = {r: k for k, r in enumerate(sorted(set(rests)), 1)}
+        rest = np.zeros(len(lengths), np.int64)
+        rest[long] = [rest_rank[r] for r in rests]
+        keys.append(rest)
+    n_words = -(-min(int(lengths.max(initial=0)), _PREFIX) // 8)
+    for k in reversed(range(n_words)):  # np.lexsort sorts on its last key first
+        keys.append(np.concatenate([_words(buf, lo + 8 * k, np.clip(hi - lo - 8 * k, 0, 8)) for buf, lo, hi in parts]))
+    if not keys:  # every string empty
+        return np.zeros(len(lengths), np.int64), np.zeros(min(len(lengths), 1), np.int64)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(len(order), bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    del keys, key
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(order) else order
+    rank = np.empty(len(order), np.int64)
+    new = np.cumsum(new) - 1
+    rank[order] = new
+    return rank, first
+
+
+def _first_use_codes(rank: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the ranks in order of first use, where ``first[r]`` are distinct keys
+    in the order of the ranks' first uses. Returns the code of each entry of
+    ``rank`` and the rank of each code."""
+    by_code = np.argsort(first)
+    code = np.empty(len(first), np.int32)
+    code[by_code] = np.arange(len(first), dtype=np.int32)
+    return code[rank], by_code
+
+
+def _decode(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The UTF-8 strings ``data[lo[i]:hi[i]]``."""
+    return [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _read_bytes(articles: bytes, edges: bytes, start: int, end: int) -> dict | None:
+    """The byte path of :func:`read_tables`: what :func:`_read_csv` returns, found
+    with numpy over the raw bytes, or None (declined) where that path could read
+    the tables otherwise or would raise: a ``"``, CR or NUL byte, invalid UTF-8,
+    anything :func:`_split_rows` or :func:`_years` declines, an empty field label
+    or a duplicate id."""
+    if any(c in data for data in (articles, edges) for c in (b'"', b"\r", b"\0")):
+        return None
+    try:
+        for data in (articles, edges):
+            data.isascii() or data.decode()
+    except UnicodeDecodeError:
+        return None
+    abuf = np.frombuffer(articles, np.uint8)
+    fields = _split_rows(abuf, ARTICLE_COLUMNS, header=True)
+    if fields is None:
+        return None
+    alo, ahi = fields
+    year = _years(abuf, alo[:, 1], ahi[:, 1])
+    if year is None or (alo[:, 2] == ahi[:, 2]).any():
+        return None
+    id_rank, id_row = _ranks([(abuf, alo[:, 0], ahi[:, 0])])
+    if len(id_row) < len(alo):  # a duplicate id
+        return None
+    kept = np.flatnonzero((year >= start) & (year <= end))
+    row_of_rank = np.full(len(id_row), -1, np.int64)  # -1: out of span
+    row_of_rank[id_rank[kept]] = np.arange(len(kept))
+    ids = (abuf, alo[id_row, 0], ahi[id_row, 0])  # each distinct id once, in rank order
+    del id_rank, id_row
+
+    citing, cited, self_loops = [], [], 0
+    for k, ebuf in enumerate(_pieces(edges, _EDGE_PIECE)):
+        fields = _split_rows(ebuf, EDGE_COLUMNS, header=k == 0)
+        if fields is None:
+            return None
+        elo, ehi = fields
+        # Rank the piece's endpoints with the article ids: equal ranks, equal strings.
+        rank, first = _ranks([ids, (ebuf, elo[:, 0], ehi[:, 0]), (ebuf, elo[:, 1], ehi[:, 1])])
+        row = np.full(len(first), -1, np.int64)  # -1: not an article, or out of span
+        row[rank[:len(row_of_rank)]] = row_of_rank
+        src, dst = rank[len(row_of_rank):len(row_of_rank) + len(elo)], rank[len(row_of_rank) + len(elo):]
+        loop = src == dst
+        self_loops += int(loop.sum())
+        citing.append(row[src[~loop]])
+        cited.append(row[dst[~loop]])
+        del fields, elo, ehi, rank, first, row, src, dst, loop  # before the next piece's arrays exist
+
+    alo, ahi = alo[kept], ahi[kept]
+    columns = dict(ids=_decode(articles, alo[:, 0], ahi[:, 0]), pub_year=year[kept].astype(np.int32))
+    for col, codes, labels in ((2, "field_code", "fields"), (3, "region_code", "regions"),
+                               (4, "journal_code", "journals")):
+        label_rank, label_row = _ranks([(abuf, alo[:, col], ahi[:, col])])
+        columns[codes], by_code = _first_use_codes(label_rank, label_row)
+        columns[labels] = _decode(articles, alo[label_row[by_code], col], ahi[label_row[by_code], col])
+    return dict(
+        columns,
+        author_fields=(articles, alo[:, 5].copy(), ahi[:, 5].copy()),
+        citing=np.concatenate(citing),
+        cited=np.concatenate(cited),
+        self_loops=self_loops,
+        art_rows=len(year),
+    )
+
+
+def read_tables(
+    articles_source: bytes | Iterable[str] | IO[str],
+    edges_source: bytes | Iterable[str] | IO[str],
+    span: tuple[int, int] | None,
+) -> dict:
+    """Parse article and edge TSV tables into coded columns: the one row parser.
+
+    Malformed rows (wrong column count, bad year, empty field) and duplicate
+    article ids, whatever their year, raise :class:`DataError`. Articles outside
+    ``span`` are dropped (``span=None`` keeps every year); edges are dropped, in
+    this precedence, as self_loop, dangling (an endpoint not retained),
+    future_dated (cites a later year) and duplicate_edge (first copy kept).
+
+    Tables given as the UTF-8 bytes of both files take the byte path; where it
+    declines, and for text streams, the csv module reads them. Both paths give
+    equal results.
+
+    Returns the :class:`Corpus` keyword arguments ``ids``, ``pub_year``, the
+    field/region/journal codes and labels, ``citing``, ``cited``, ``drops`` and
+    ``rows_read``, plus ``author_fields``: UTF-8 bytes ``data`` and ranges
+    ``lo``, ``hi`` such that ``data[lo[i]:hi[i]]`` is retained article ``i``'s
+    raw author_ids.
+    """
+    start, end = (int(span[0]), int(span[1])) if span is not None else (-sys.maxsize, sys.maxsize)
+    if start > end:
+        raise ValueError(f"invalid span {span}")
+    tables = None
+    if isinstance(articles_source, bytes) and isinstance(edges_source, bytes):
+        tables = _read_bytes(articles_source, edges_source, start, end)
+        if tables is None:
+            articles_source, edges_source = (io.TextIOWrapper(io.BytesIO(b), encoding="utf-8", newline="")
+                                             for b in (articles_source, edges_source))
+    if tables is None:
+        tables = _read_csv(articles_source, edges_source, start, end)
+
+    pub_year, citing, cited = tables["pub_year"], tables.pop("citing"), tables.pop("cited")
+    self_loops, art_rows = tables.pop("self_loops"), tables.pop("art_rows")
+    edge_rows = self_loops + len(citing)
+    keep = (citing >= 0) & (cited >= 0)
+    n_dangling = len(citing) - int(keep.sum())
+    citing, cited = citing[keep], cited[keep]
+    keep = pub_year[citing] >= pub_year[cited]
+    n_future = len(citing) - int(keep.sum())
+    citing, cited = citing[keep], cited[keep]
+    key = citing * len(pub_year) + cited
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    keep = np.ones(len(key), bool)
+    keep[order[1:][key[1:] == key[:-1]]] = False  # every copy of an edge but the first
+    del key, order
+    n_duplicate = len(citing) - int(keep.sum())
+    return dict(
+        tables,
+        citing=citing[keep],
+        cited=cited[keep],
+        drops={"out_of_span": art_rows - len(pub_year), "dangling": n_dangling, "self_loop": self_loops,
                "future_dated": n_future, "duplicate_edge": n_duplicate},
         rows_read=(art_rows, edge_rows),
     )
 
 
+def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """CSR author lists of the articles whose author_ids are ``data[lo[i]:hi[i]]``:
+    ``author_ptr``, ``author_code`` and the names, each article's distinct names
+    in ascending order, coded in order of first use. The fields are split at the
+    ``;`` bytes inside them; empty names are skipped."""
+    buf = np.frombuffer(data, np.uint8)
+    semi = np.flatnonzero(buf == ord(";"))
+    # A name runs from a field start or a ";" + 1 to the next ";" or field end. The
+    # fields are disjoint and in order, so the sorted starts and ends pair up. A ";"
+    # outside every field is paired with its own + 1: an empty name, dropped.
+    tok_lo = np.concatenate([lo, semi + 1])
+    tok_lo.sort()
+    tok_hi = np.concatenate([semi, hi])
+    tok_hi.sort()
+    del semi
+    named = tok_hi > tok_lo
+    tok_lo, tok_hi = tok_lo[named], tok_hi[named]
+    del named
+    article = np.searchsorted(lo, tok_lo, "right") - 1
+
+    rank, first = _ranks([(buf, tok_lo, tok_hi)])
+    names = _decode(data, tok_lo[first], tok_hi[first])
+    del tok_lo, tok_hi
+    n_names = len(first)
+    first_article = article[first]
+    pairs = article * n_names
+    del article
+    pairs += rank
+    del rank
+    pairs.sort()
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each article's distinct names, in name order
+    # A name is first used in the first article that has it (the article of its
+    # token ``first``), and names first used in one article come in name order.
+    author_code, by_code = _first_use_codes(pairs % n_names, first_article * n_names + np.arange(n_names))
+    author_ptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // max(n_names, 1), minlength=len(lo)))])
+    return author_ptr, author_code, [names[r] for r in by_code.tolist()]
+
+
 def load_corpus(
-    articles_source: Iterable[str] | IO[str],
-    edges_source: Iterable[str] | IO[str],
+    articles_source: bytes | Iterable[str] | IO[str],
+    edges_source: bytes | Iterable[str] | IO[str],
     span: tuple[int, int],
 ) -> Corpus:
-    """Read article and edge TSV streams into an indexed corpus: :func:`read_tables`,
+    """Read article and edge TSV tables into an indexed corpus: :func:`read_tables`,
     then each article's distinct authors coded in name order, and self-citations."""
     tables = read_tables(articles_source, edges_source, span)
-    author_names: list[str] = []
-    author_ptr = [0]
-    for text in tables.pop("author_text"):
-        author_names.extend(sorted({a for a in text.split(";") if a}))
-        author_ptr.append(len(author_names))
-    author_vocab = {a: c for c, a in enumerate(dict.fromkeys(author_names))}
-    author_code = np.fromiter(map(author_vocab.__getitem__, author_names), np.int32, len(author_names))
-    author_ptr = np.asarray(author_ptr, dtype=np.int64)
+    author_ptr, author_code, authors = _code_authors(*tables.pop("author_fields"))
     return Corpus(
         **tables,
         author_ptr=author_ptr,
         author_code=author_code,
-        authors=list(author_vocab),
+        authors=authors,
         self_edge=_compute_self_edges(author_ptr, author_code, tables["citing"], tables["cited"]),
         span=span,
     )
 
 
 def load_corpus_files(articles_path: str, edges_path: str, span: tuple[int, int]) -> Corpus:
-    with open(articles_path, encoding="utf-8", newline="") as fa, open(edges_path, encoding="utf-8", newline="") as fe:
-        return load_corpus(fa, fe, span)
+    with open(articles_path, "rb") as fa, open(edges_path, "rb") as fe:
+        return load_corpus(fa.read(), fe.read(), span)
 
 
 def filter_core_journals(corpus: Corpus) -> Corpus:
@@ -311,24 +581,45 @@ def filter_core_journals(corpus: Corpus) -> Corpus:
     return corpus.subset(core[corpus.journal_code])
 
 
+# Rows _write_tsv formats at a time: bounds the memory of the formatted text.
+_WRITE_ROWS = 1 << 16
+
+
+def _write_tsv(path: str, header: list[str], n_rows: int, columns: Callable[[slice], list], quoted: bool) -> None:
+    """Write a TSV table whose rows ``rows`` hold the fields ``columns(rows)``, as
+    ``csv.writer`` would: with ``str.join`` over the rows' fields and separators,
+    or through ``csv.writer`` if a field may need quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("\t".join(header) + "\n")
+        writer = csv.writer(f, delimiter="\t", lineterminator="\n")
+        for start in range(0, n_rows, _WRITE_ROWS):
+            fields = columns(slice(start, start + _WRITE_ROWS))
+            if quoted:
+                writer.writerows(zip(*fields))
+                continue
+            cells = np.full((len(fields[0]), 2 * len(fields)), "\t", dtype=object)
+            cells[:, -1] = "\n"
+            for k, column in enumerate(fields):
+                cells[:, 2 * k] = column
+            f.write("".join(cells.ravel().tolist()))
+
+
 def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
-    """Emit the corpus back to the tabular formats accepted by load_corpus."""
-    with open(articles_path, "w", encoding="utf-8", newline="") as f:
-        wr = csv.writer(f, delimiter="\t", lineterminator="\n")
-        wr.writerow(ARTICLE_COLUMNS)
-        ptr = corpus.author_ptr.tolist()
-        names = [corpus.authors[c] for c in corpus.author_code.tolist()]
-        for i, art_id in enumerate(corpus.ids):
-            wr.writerow([
-                art_id,
-                int(corpus.pub_year[i]),
-                corpus.fields[corpus.field_code[i]],
-                corpus.regions[corpus.region_code[i]],
-                corpus.journals[corpus.journal_code[i]],
-                ";".join(names[ptr[i]:ptr[i + 1]]),
-            ])
-    with open(edges_path, "w", encoding="utf-8", newline="") as f:
-        wr = csv.writer(f, delimiter="\t", lineterminator="\n")
-        wr.writerow(EDGE_COLUMNS)
-        for j in range(corpus.n_edges):
-            wr.writerow([corpus.ids[corpus.citing[j]], corpus.ids[corpus.cited[j]]])
+    """Emit the corpus back to the tabular formats accepted by load_corpus, as
+    ``csv.writer`` would, formatting whole columns of rows at a time."""
+    labels = "".join(itertools.chain(corpus.ids, corpus.fields, corpus.regions, corpus.journals, corpus.authors))
+    quoted = any(c in labels for c in '\t"\r\n')
+    fields, regions, journals, authors, ids = (np.array(v, dtype=object) for v in (
+        corpus.fields, corpus.regions, corpus.journals, corpus.authors, corpus.ids))
+
+    def article_columns(rows: slice) -> list:
+        ptr = corpus.author_ptr[rows.start:rows.stop + 1]
+        names = authors[corpus.author_code[ptr[0]:ptr[-1]]].tolist()
+        return [corpus.ids[rows], list(map(str, corpus.pub_year[rows].tolist())), fields[corpus.field_code[rows]],
+                regions[corpus.region_code[rows]], journals[corpus.journal_code[rows]],
+                list(map(";".join, map(names.__getitem__, map(slice, (ptr[:-1] - ptr[0]).tolist(),
+                                                               (ptr[1:] - ptr[0]).tolist()))))]
+
+    _write_tsv(articles_path, ARTICLE_COLUMNS, corpus.n_articles, article_columns, quoted)
+    _write_tsv(edges_path, EDGE_COLUMNS, corpus.n_edges,
+               lambda rows: [ids[corpus.citing[rows]], ids[corpus.cited[rows]]], quoted)

@@ -185,6 +185,7 @@ def generate(params: GenParams) -> Corpus:
 
     citing = np.concatenate(citing_parts) if citing_parts else np.zeros(0, dtype=np.int64)
     cited = np.concatenate(cited_parts) if cited_parts else np.zeros(0, dtype=np.int64)
+    del citing_parts, cited_parts
 
     width = max(6, len(str(n_total)))
     ids = [f"p{i:0{width}d}" for i in range(n_total)]

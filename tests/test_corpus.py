@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import tempfile
 from collections import Counter
@@ -218,3 +220,64 @@ def test_corpus_arrays_read_only(fixture_corpus):
         fixture_corpus.pub_year[0] = 1999
     with pytest.raises(ValueError):
         fixture_corpus.citing[0] = 0
+
+
+def csv_writer_tables(corpus):
+    """The two tables as a csv.writer row loop writes them: write_tables' reference."""
+    articles, edges = io.StringIO(), io.StringIO()
+    wr = csv.writer(articles, delimiter="\t", lineterminator="\n")
+    wr.writerow(ART_HEADER.split())
+    for i, art_id in enumerate(corpus.ids):
+        codes = corpus.author_code[corpus.author_ptr[i]:corpus.author_ptr[i + 1]]
+        wr.writerow([art_id, int(corpus.pub_year[i]), corpus.fields[corpus.field_code[i]],
+                     corpus.regions[corpus.region_code[i]], corpus.journals[corpus.journal_code[i]],
+                     ";".join(corpus.authors[c] for c in codes)])
+    wr = csv.writer(edges, delimiter="\t", lineterminator="\n")
+    wr.writerow(EDGE_HEADER.split())
+    for s, d in zip(corpus.citing.tolist(), corpus.cited.tolist()):
+        wr.writerow([corpus.ids[s], corpus.ids[d]])
+    return articles.getvalue().encode(), edges.getvalue().encode()
+
+
+# An id holding a tab, a field label holding quotes and an author name holding a newline.
+QUOTED_ARTICLES = ART_HEADER + '"A\t1"\t2000\t"F ""x"""\tR\tJ\t"a1;b\nc"\nB\t2001\tF\t\t\t\nC\t2001\tF\tR\tJ\ta1;a1\n'
+
+
+@pytest.mark.parametrize("write_rows", [1, 2, corpus_mod._WRITE_ROWS])
+def test_write_tables_writes_what_csv_writer_writes(tmp_path, fixture_corpus, write_rows):
+    quoted = make_corpus(QUOTED_ARTICLES, EDGE_HEADER + 'B\t"A\t1"\nC\tB\n', span=(2000, 2004))
+    assert quoted.ids[0] == "A\t1" and 'F "x"' in quoted.fields and "b\nc" in quoted.authors
+    paths = [tmp_path / name for name in ("a1.tsv", "e1.tsv", "a2.tsv", "e2.tsv")]
+    for corpus in (fixture_corpus, quoted):
+        with mock.patch.object(corpus_mod, "_WRITE_ROWS", write_rows):  # rows formatted a few at a time
+            write_tables(corpus, paths[0], paths[1])
+            written = paths[0].read_bytes(), paths[1].read_bytes()
+            assert written == csv_writer_tables(corpus)
+            write_tables(load_corpus_files(paths[0], paths[1], corpus.span), paths[2], paths[3])
+        assert (paths[2].read_bytes(), paths[3].read_bytes()) == written
+    assert b'"A\t1"' in written[0] and b'"A\t1"' in written[1]  # the quoted corpus was written quoted
+
+
+NAMES = st.sampled_from(["a", "a\0", "a\0\0", "b", "", "é", "李", "x" * 64, "x" * 64 + "a", "x" * 64 + "a\0",
+                         "x" * 70, "x" * 63 + "é", "y" * 9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(NAMES, max_size=6).map(";".join), max_size=8), st.sampled_from(["", "\t", "q;r\n", ";;x;"]))
+def test_code_authors_matches_the_per_article_loop(fields, gap):
+    """Names ending in NUL bytes, longer than the word-compared prefix or non-ASCII,
+    and ``;`` between the fields, which belong to no field."""
+    data, lo, hi = gap.encode(), [], []
+    for text in fields:
+        lo.append(len(data))
+        data += text.encode()
+        hi.append(len(data))
+        data += gap.encode()
+    author_ptr, author_code, authors = corpus_mod._code_authors(data, np.array(lo, np.int64), np.array(hi, np.int64))
+    names, ptr = [], [0]  # the per-article loop load_corpus ran before the byte path
+    for text in fields:
+        names.extend(sorted({a for a in text.split(";") if a}))
+        ptr.append(len(names))
+    assert authors == list(dict.fromkeys(names))
+    assert [authors[c] for c in author_code.tolist()] == names
+    assert author_ptr.tolist() == ptr

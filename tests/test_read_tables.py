@@ -5,6 +5,10 @@ helper with ``citeconc.corpus``. Both see dirty input: CRLF and LF line ends,
 quoted fields (an author list may span two lines), blank lines, empty or
 repeated author lists, rows outside the span, every edge drop reason and at
 most one malformed row. Line numbers are the physical lines rows start on.
+
+The byte path of ``read_tables`` is checked against its csv path and the same
+reference on tables it reads, and against the text-file reader on each kind
+of table it declines.
 """
 
 import contextlib
@@ -12,14 +16,18 @@ import csv
 import io
 import os
 import re
+import sys
 import tempfile
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from citeconc import corpus as corpus_mod
 from citeconc.cli import main
 from citeconc.corpus import DataError, load_corpus, read_tables
 
@@ -140,6 +148,14 @@ def dirty_tables(draw):
     return render(ARTICLE_HEADER[::-1] if fault == "header" else ARTICLE_HEADER, articles), render(EDGE_HEADER, edges)
 
 
+def table_records(t):
+    """read_tables output as the reference's retained article dicts."""
+    author_bytes, author_lo, author_hi = t["author_fields"]
+    return [{"id": t["ids"][i], "pub_year": int(t["pub_year"][i]), "field": t["fields"][t["field_code"][i]],
+             "region": t["regions"][t["region_code"][i]], "journal_id": t["journals"][t["journal_code"][i]],
+             "author_ids": author_bytes[author_lo[i]:author_hi[i]].decode()} for i in range(len(t["ids"]))]
+
+
 def run_validate(articles_text, edges_text, span):
     with tempfile.TemporaryDirectory() as d:
         paths = [os.path.join(d, "articles.tsv"), os.path.join(d, "edges.tsv")]
@@ -182,10 +198,7 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
         return
 
     t = read_tables(io.StringIO(articles_text, newline=""), io.StringIO(edges_text, newline=""), span)
-    got = [{"id": t["ids"][i], "pub_year": int(t["pub_year"][i]), "field": t["fields"][t["field_code"][i]],
-            "region": t["regions"][t["region_code"][i]], "journal_id": t["journals"][t["journal_code"][i]],
-            "author_ids": t["author_text"][i]} for i in range(len(t["ids"]))]
-    assert got == kept
+    assert table_records(t) == kept
     for labels, column in (("fields", "field"), ("regions", "region"), ("journals", "journal_id")):
         assert t[labels] == list(dict.fromkeys(rec[column] for rec in kept))  # codes in order of first use
     assert [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())] == edges
@@ -210,3 +223,140 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
     records = oracle.read(c).articles
     for rec in kept:
         assert records[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}
+
+
+# -- the byte path --------------------------------------------------------------
+
+# Ids of one and two 8-byte words, and past the 64 bytes compared as words.
+BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7"]
+AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"]), max_size=5).map(";".join)
+
+
+@st.composite
+def clean_tables(draw):
+    """Article and edge TSV text with no quote, CR or NUL and no fault, which the
+    byte path reads: empty, repeated and non-ASCII author names, empty region and
+    journal labels, blank lines, every edge drop reason and a last line with or
+    without a newline."""
+    ids = draw(st.lists(st.sampled_from(BYTE_IDS), unique=True, max_size=7))
+    articles = [[art_id, draw(st.sampled_from(["1998", "2000", "2001", "2002", "02003", "2004"])),
+                 draw(st.sampled_from(["F0", "F1", "Field two", "Fïeld"])), draw(st.sampled_from(["NA", " EU ", "", "Ásia"])),
+                 draw(st.sampled_from(["J1", "J2", ""])), draw(AUTHOR_LISTS)] for art_id in ids]
+    pool = ids + ["X"]  # X is never an article: dangling
+    edges = [list(p) for p in draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=30))]
+
+    def render(header, rows):
+        lines = ["\t".join(header)]
+        for row in rows:
+            lines += draw(st.lists(st.just(""), max_size=1)) + ["\t".join(row)]  # maybe a blank line first
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+    return render(ARTICLE_HEADER, articles), render(EDGE_HEADER, edges)
+
+
+def text_streams(articles_text, edges_text):
+    return io.StringIO(articles_text, newline=""), io.StringIO(edges_text, newline="")
+
+
+def assert_same_corpus(a, b):
+    for name in ("ids", "fields", "regions", "journals", "authors", "span", "drops", "rows_read"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert list(a.drops) == list(b.drops)
+    for name in ("pub_year", "field_code", "region_code", "journal_code", "author_ptr", "author_code",
+                 "citing", "cited", "self_edge"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(clean_tables(), st.sampled_from([None, (2000, 2002), (1999, 2003)]), st.sampled_from([1, 9, 1 << 24]))
+def test_byte_path_matches_the_csv_path_and_the_reference(tables, span, edge_piece):
+    articles_text, edges_text = tables
+    data = articles_text.encode(), edges_text.encode()
+    bounds = span or (-sys.maxsize, sys.maxsize)
+    with mock.patch.object(corpus_mod, "_EDGE_PIECE", edge_piece):  # edges split and looked up piece by piece
+        assert corpus_mod._read_bytes(*data, *bounds) is not None  # these tables take the byte path
+        by_bytes = read_tables(*data, span)
+        if span is not None:
+            by_bytes_corpus = load_corpus(*data, span)
+    by_csv = read_tables(*text_streams(*tables), span)
+    kept, edges, drops, rows_read = reference_read(articles_text, edges_text, span)
+    assert table_records(by_bytes) == table_records(by_csv) == kept
+    for labels in ("fields", "regions", "journals"):
+        assert by_bytes[labels] == by_csv[labels]
+    for name in ("pub_year", "field_code", "region_code", "journal_code", "citing", "cited"):
+        assert by_bytes[name].dtype == by_csv[name].dtype and np.array_equal(by_bytes[name], by_csv[name]), name
+    assert [(by_bytes["ids"][i], by_bytes["ids"][j]) for i, j in zip(by_bytes["citing"].tolist(),
+                                                                      by_bytes["cited"].tolist())] == edges
+    assert list(by_bytes["drops"].items()) == list(by_csv["drops"].items()) == list(drops.items())
+    assert by_bytes["rows_read"] == by_csv["rows_read"] == rows_read
+    if span is not None:
+        c = by_bytes_corpus
+        assert_same_corpus(c, load_corpus(*text_streams(*tables), span))
+        records_by_id = oracle.read(c).articles
+        for rec in kept:
+            assert records_by_id[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}
+
+
+BASE_ARTICLES = "\t".join(ARTICLE_HEADER) + "\nA\t2000\tF\tR\tJ\ta1;a2\nB\t2001\tF\tR\tJ\ta2\n"
+BASE_EDGES = "\t".join(EDGE_HEADER) + "\nB\tA\n"
+# Each table the byte path declines, so the csv reader reads it: a result, or the error and line it raises.
+DECLINED = {
+    "quote": (BASE_ARTICLES + 'C\t2001\tF\tR\tJ\t"a2;a3"\n', BASE_EDGES),
+    "cr": (BASE_ARTICLES.replace("\n", "\r\n"), BASE_EDGES),
+    "lone_cr": (BASE_ARTICLES + "C\t2001\tF\tR\tJ\ta\rb\n", BASE_EDGES),
+    "nul": (BASE_ARTICLES + "C\t2001\tF\tR\tJ\ta2\0\n", BASE_EDGES),
+    "bad_header": (BASE_ARTICLES.replace("journal_id", "journal"), BASE_EDGES),
+    "padded_header": (" " + BASE_ARTICLES, BASE_EDGES),
+    "too_many_tabs": (BASE_ARTICLES + "C\t2001\tF\tR\tJ\ta2\tx\n", BASE_EDGES),
+    "too_few_tabs": (BASE_ARTICLES + "C\t2001\tF\tR\tJ\n", BASE_EDGES),
+    "edge_tabs": (BASE_ARTICLES, BASE_EDGES + "A\tB\tC\n"),
+    "year_space": (BASE_ARTICLES + "C\t 2001\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_plus": (BASE_ARTICLES + "C\t+2001\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_underscore": (BASE_ARTICLES + "C\t2_001\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_non_ascii_digits": (BASE_ARTICLES + "C\t２００１\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_negative": (BASE_ARTICLES + "C\t-5\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_empty": (BASE_ARTICLES + "C\t\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_word": (BASE_ARTICLES + "C\ttwothousand\tF\tR\tJ\t\n", BASE_EDGES),
+    "year_ten_digits": (BASE_ARTICLES + "C\t1234567890\tF\tR\tJ\t\n", BASE_EDGES),
+    "empty_field": (BASE_ARTICLES + "C\t2001\t\tR\tJ\t\n", BASE_EDGES),
+    "duplicate_id": (BASE_ARTICLES + "A\t2001\tF\tR\tJ\t\n", BASE_EDGES),
+    "duplicate_id_out_of_span": (BASE_ARTICLES + "A\t1700\tF\tR\tJ\t\n", BASE_EDGES),
+    "invalid_utf8": (BASE_ARTICLES.encode() + b"C\t2001\tF\tR\tJ\ta\xff\n", BASE_EDGES),
+    "invalid_utf8_edges": (BASE_ARTICLES, BASE_EDGES.encode() + b"B\t\xc3\n"),
+    "over_field_limit": (BASE_ARTICLES + "C\t2001\tF\tR\tJ\t" + ";a" * 70_000 + "\n", BASE_EDGES),
+    "empty_tables": ("", ""),
+    "empty_edges": (BASE_ARTICLES, ""),
+}
+
+
+def outcome(read):
+    try:
+        t = read()
+    except Exception as e:  # the same exception type and message either way
+        return type(e).__name__, str(e)
+    return table_records(t), t["fields"], t["regions"], t["journals"], t["citing"].tolist(), t["cited"].tolist(), t["drops"]
+
+
+@pytest.mark.parametrize("case", list(DECLINED))
+@pytest.mark.parametrize("span", [None, (2000, 2001)])
+def test_byte_path_declines_what_the_csv_reader_reads_otherwise(tmp_path, case, span):
+    data = [t if isinstance(t, bytes) else t.encode() for t in DECLINED[case]]
+    bounds = span or (-sys.maxsize, sys.maxsize)
+    assert corpus_mod._read_bytes(*data, *bounds) is None
+    paths = [tmp_path / "articles.tsv", tmp_path / "edges.tsv"]
+    for path, b in zip(paths, data):
+        path.write_bytes(b)
+    with open(paths[0], encoding="utf-8", newline="") as fa, open(paths[1], encoding="utf-8", newline="") as fe:
+        from_text = outcome(lambda: read_tables(fa, fe, span))  # how files were read before the byte path
+    assert outcome(lambda: read_tables(*data, span)) == from_text
+
+
+def test_duplicate_edges_keep_the_first_copy():
+    articles = BASE_ARTICLES + "C\t2001\tF\tR\tJ\t\n"
+    edges = "\t".join(EDGE_HEADER) + "\nB\tA\nC\tA\nB\tA\nC\tB\nC\tA\n"
+    for tables in ((articles.encode(), edges.encode()), text_streams(articles, edges)):
+        t = read_tables(*tables, None)
+        pairs = [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
+        assert pairs == [("B", "A"), ("C", "A"), ("C", "B")]
+        assert t["drops"]["duplicate_edge"] == 2
