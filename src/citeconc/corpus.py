@@ -246,38 +246,45 @@ def _read_csv(articles_source: Iterable[str] | IO[str], edges_source: Iterable[s
     )
 
 
-def _split_rows(buf: np.ndarray, columns: list[str], header: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The byte range ``[lo, hi)`` of each field of each non-blank row of a piece
-    of a TSV table, shaped (rows, columns), skipping its first line if ``header``;
-    None if that header is not ``columns`` tab-separated, a row has another
-    width, or a field is longer than the csv module's limit."""
+def _split_rows(buf: np.ndarray, columns: list[str], header: bool) -> np.ndarray | None:
+    """The field bounds of each non-blank row of a piece of a TSV table, skipping
+    its first line if ``header``: ``ends`` of shape (rows, columns + 1), the offset
+    of the byte before each row and of the tab or newline after each field (see
+    :func:`_field`). None if that header is not ``columns`` tab-separated, a row
+    has another width, or a field is longer than the csv module's limit."""
     newline = np.flatnonzero(buf == 10)
-    line_lo = np.concatenate([[0], newline + 1])
+    line_lo = np.concatenate([[-1], newline])  # the byte before each line
     line_hi = np.append(newline, len(buf))
     del newline
     if header:
         if buf[:line_hi[0]].tobytes() != "\t".join(columns).encode():
             return None
         line_lo, line_hi = line_lo[1:], line_hi[1:]
-    nonblank = line_hi > line_lo
+    nonblank = line_hi > line_lo + 1
     line_lo, line_hi = line_lo[nonblank], line_hi[nonblank]
     tabs = np.flatnonzero(buf == 9)[len(columns) - 1 if header else 0:]
     if len(tabs) != (len(columns) - 1) * len(line_lo):
         return None
     tabs = tabs.reshape(len(line_lo), len(columns) - 1)
     # With the right count, row r's tabs are block r of the tab list, which must lie in line r.
-    if len(line_lo) and ((tabs[:, 0] < line_lo).any() or (tabs[:, -1] >= line_hi).any()):
+    if len(line_lo) and ((tabs[:, 0] <= line_lo).any() or (tabs[:, -1] >= line_hi).any()):
         return None
-    lo = np.column_stack([line_lo, tabs + 1])
-    hi = np.column_stack([tabs, line_hi])
-    if len(lo) and (hi - lo).max() > csv.field_size_limit():
+    ends = np.column_stack([line_lo, tabs, line_hi])
+    del tabs
+    if any((ends[:, j + 1] - ends[:, j]).max(initial=0) > csv.field_size_limit() + 1 for j in range(len(columns))):
         return None
-    return lo, hi
+    return ends
 
 
-# Bytes of the edges table that the byte path splits and looks up at a time:
-# bounds its memory to a few hundred MB however many edges there are.
-_EDGE_PIECE = 1 << 24
+def _field(ends: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The byte ranges ``[lo, hi)`` of column ``j`` of the rows bounded by ``ends``."""
+    return ends[:, j] + 1, ends[:, j + 1].copy()
+
+
+# Bytes of the edges table that the byte path splits and looks up at a time: bounds
+# the memory of that pass to some tens of MB however many edges there are. At 4 MiB
+# a 300k-article read_tables peaks below the csv reader's.
+_EDGE_PIECE = 1 << 22
 
 
 def _pieces(data: bytes, size: int) -> Iterator[np.ndarray]:
@@ -308,8 +315,8 @@ def _years(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None
     return year
 
 
-# Leading bytes of each string that _ranks compares as big-endian uint64 words; it
-# ranks the rest of a longer string in Python.
+# Leading bytes of each string that _ranks and _id_finder compare as big-endian
+# uint64 words; they rank or look up the rest of a longer string in Python.
 _PREFIX = 64
 # _BYTE_MASK[n] keeps the first n bytes of a big-endian uint64 word.
 _BYTE_MASK = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
@@ -329,27 +336,26 @@ def _words(buf: np.ndarray, pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return word
 
 
-def _ranks(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rank, in ascending byte order, of each string ``buf[lo[i]:hi[i]]`` of
-    the ``(buf, lo, hi)`` parts taken together, and the first row holding each rank.
+def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rank, in ascending byte order, of each string ``buf[lo[i]:hi[i]]``,
+    and the first ``i`` holding each rank.
 
     Byte order is Python's str order on UTF-8. Strings are compared on their first
     _PREFIX bytes as zero-padded words, then on the rest, then on their length:
     two strings of at most _PREFIX bytes tie on their words only if they differ
     in trailing NUL bytes, so the length is a key only if some string ends in one."""
-    lengths = np.concatenate([hi - lo for _, lo, hi in parts])
-    keys = [lengths] if any((buf[hi[hi > lo] - 1] == 0).any() for buf, lo, hi in parts) else []
+    lengths = hi - lo
+    keys = [lengths] if (buf[hi[hi > lo] - 1] == 0).any() else []
     long = lengths > _PREFIX
     if long.any():
-        rests = [buf[a + _PREFIX:b].tobytes() for buf, lo, hi in parts
-                 for a, b in zip(lo[hi - lo > _PREFIX].tolist(), hi[hi - lo > _PREFIX].tolist())]
+        rests = [buf[a + _PREFIX:b].tobytes() for a, b in zip(lo[long].tolist(), hi[long].tolist())]
         rest_rank = {r: k for k, r in enumerate(sorted(set(rests)), 1)}
         rest = np.zeros(len(lengths), np.int64)
         rest[long] = [rest_rank[r] for r in rests]
         keys.append(rest)
     n_words = -(-min(int(lengths.max(initial=0)), _PREFIX) // 8)
     for k in reversed(range(n_words)):  # np.lexsort sorts on its last key first
-        keys.append(np.concatenate([_words(buf, lo + 8 * k, np.clip(hi - lo - 8 * k, 0, 8)) for buf, lo, hi in parts]))
+        keys.append(_words(buf, lo + 8 * k, np.clip(lengths - 8 * k, 0, 8)))
     if not keys:  # every string empty
         return np.zeros(len(lengths), np.int64), np.zeros(min(len(lengths), 1), np.int64)
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
@@ -366,6 +372,76 @@ def _ranks(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.n
     return rank, first
 
 
+def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[..., np.ndarray] | None:
+    """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of
+    the equal id ``buf[lo[i]:hi[i]]``, or -1; None if two ids are equal.
+
+    The ids hold no NUL byte, so their zero-padded words tell ids of at most
+    _PREFIX bytes apart; the sorted ids are searched a word at a time, with the
+    rank of each word among the ids' words at that level and the first sorted id
+    that shares the words so far as the key. Longer ids are found in a dict."""
+    n = hi - lo
+    long = n > _PREFIX
+    long_ids = {buf[a:b].tobytes(): i for i, a, b in zip(np.flatnonzero(long).tolist(), lo[long].tolist(),
+                                                          hi[long].tolist())}
+    short = np.flatnonzero(~long)
+    max_len = int(n[short].max(initial=-1))
+    words = [_words(buf, lo[short] + k, np.clip(n[short] - k, 0, 8)) for k in range(0, max_len, 8)]
+    order = np.lexsort(words[::-1]) if words else np.arange(len(short))
+    row = short[order]
+    levels = []
+    prefix = np.zeros(len(short), np.int64)  # the first sorted id with the same words so far
+    for word in words:
+        word = word[order]
+        values = np.sort(word)  # np.unique would take its slower hash path
+        values = values[np.diff(values, prepend=values[:1] + 1) != 0]
+        key = prefix * len(values) + np.searchsorted(values, word)
+        prefix = np.searchsorted(key, key)
+        levels.append((values, key))
+    del words, order
+    if len(long_ids) < long.sum() or (np.diff(prefix) == 0).any():
+        return None
+
+    def find(fbuf: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
+        fn = fhi - flo
+        out = np.full(len(fn), -1, np.int64)
+        for i in np.flatnonzero(fn > _PREFIX).tolist():
+            out[i] = long_ids.get(fbuf[flo[i]:fhi[i]].tobytes(), -1)
+        todo = np.flatnonzero(fn <= max_len)
+        words = [_words(fbuf, flo[todo] + k, np.clip(fn[todo] - k, 0, 8)) for k in range(0, max_len, 8)]
+        # Sorted probes make searchsorted far faster; each level's probes stay sorted.
+        order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1]) if words else slice(None)
+        todo = todo[order]
+        found = np.ones(len(todo), bool)
+        at = np.zeros(len(todo), np.int64)
+        for word, (values, key) in zip(words, levels):
+            word = word[order]
+            probe = np.searchsorted(values, word)
+            found &= values[np.minimum(probe, len(values) - 1)] == word
+            probe += at * len(values)
+            at = np.searchsorted(key, probe)
+            found &= key[np.minimum(at, len(key) - 1)] == probe
+        out[todo[found]] = row[at[found]]
+        return out
+
+    return find
+
+
+def _same(buf: np.ndarray, alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
+    """Whether ``buf[alo[i]:ahi[i]] == buf[blo[i]:bhi[i]]``, compared a word at a time."""
+    n = ahi - alo
+    same = np.zeros(len(n), bool)
+    rows = np.flatnonzero(n == bhi - blo)  # equal so far
+    for k in itertools.count(0, 8):
+        done = n[rows] <= k
+        same[rows[done]] = True
+        rows = rows[~done]
+        if not len(rows):
+            return same
+        m = np.clip(n[rows] - k, 0, 8)
+        rows = rows[_words(buf, alo[rows] + k, m) == _words(buf, blo[rows] + k, m)]
+
+
 def _first_use_codes(rank: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the ranks in order of first use, where ``first[r]`` are distinct keys
     in the order of the ranks' first uses. Returns the code of each entry of
@@ -377,8 +453,10 @@ def _first_use_codes(rank: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _decode(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
-    """The UTF-8 strings ``data[lo[i]:hi[i]]``."""
-    return [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())]
+    """The UTF-8 strings ``data[lo[i]:hi[i]]``, taking the bounds as Python ints
+    a chunk at a time: all at once, they outweigh the strings."""
+    return [data[a:b].decode() for k in range(0, len(lo), 1 << 16)
+            for a, b in zip(lo[k:k + (1 << 16)].tolist(), hi[k:k + (1 << 16)].tolist())]
 
 
 def _read_bytes(articles: bytes, edges: bytes, start: int, end: int) -> dict | None:
@@ -395,49 +473,42 @@ def _read_bytes(articles: bytes, edges: bytes, start: int, end: int) -> dict | N
     except UnicodeDecodeError:
         return None
     abuf = np.frombuffer(articles, np.uint8)
-    fields = _split_rows(abuf, ARTICLE_COLUMNS, header=True)
-    if fields is None:
+    ends = _split_rows(abuf, ARTICLE_COLUMNS, header=True)
+    if ends is None:
         return None
-    alo, ahi = fields
-    year = _years(abuf, alo[:, 1], ahi[:, 1])
-    if year is None or (alo[:, 2] == ahi[:, 2]).any():
+    year = _years(abuf, *_field(ends, 1))
+    if year is None or (ends[:, 3] == ends[:, 2] + 1).any():  # an empty field label
         return None
-    id_rank, id_row = _ranks([(abuf, alo[:, 0], ahi[:, 0])])
-    if len(id_row) < len(alo):  # a duplicate id
+    find = _id_finder(abuf, *_field(ends, 0))
+    if find is None:  # a duplicate id
         return None
     kept = np.flatnonzero((year >= start) & (year <= end))
-    row_of_rank = np.full(len(id_row), -1, np.int64)  # -1: out of span
-    row_of_rank[id_rank[kept]] = np.arange(len(kept))
-    ids = (abuf, alo[id_row, 0], ahi[id_row, 0])  # each distinct id once, in rank order
-    del id_rank, id_row
+    row_of = np.full(len(ends) + 1, -1, np.int64)  # retained row of each article; -1 (also at [-1]): none
+    row_of[kept] = np.arange(len(kept))
 
     citing, cited, self_loops = [], [], 0
     for k, ebuf in enumerate(_pieces(edges, _EDGE_PIECE)):
-        fields = _split_rows(ebuf, EDGE_COLUMNS, header=k == 0)
-        if fields is None:
+        edge_ends = _split_rows(ebuf, EDGE_COLUMNS, header=k == 0)
+        if edge_ends is None:
             return None
-        elo, ehi = fields
-        # Rank the piece's endpoints with the article ids: equal ranks, equal strings.
-        rank, first = _ranks([ids, (ebuf, elo[:, 0], ehi[:, 0]), (ebuf, elo[:, 1], ehi[:, 1])])
-        row = np.full(len(first), -1, np.int64)  # -1: not an article, or out of span
-        row[rank[:len(row_of_rank)]] = row_of_rank
-        src, dst = rank[len(row_of_rank):len(row_of_rank) + len(elo)], rank[len(row_of_rank) + len(elo):]
-        loop = src == dst
+        loop = _same(ebuf, *_field(edge_ends, 0), *_field(edge_ends, 1))
         self_loops += int(loop.sum())
-        citing.append(row[src[~loop]])
-        cited.append(row[dst[~loop]])
-        del fields, elo, ehi, rank, first, row, src, dst, loop  # before the next piece's arrays exist
+        edge_ends = edge_ends[~loop]
+        citing.append(row_of[find(ebuf, *_field(edge_ends, 0))])
+        cited.append(row_of[find(ebuf, *_field(edge_ends, 1))])
+        del edge_ends, loop  # before the next piece's arrays exist
 
-    alo, ahi = alo[kept], ahi[kept]
-    columns = dict(ids=_decode(articles, alo[:, 0], ahi[:, 0]), pub_year=year[kept].astype(np.int32))
+    ends = ends[kept]
+    columns = dict(ids=_decode(articles, *_field(ends, 0)), pub_year=year[kept].astype(np.int32))
     for col, codes, labels in ((2, "field_code", "fields"), (3, "region_code", "regions"),
                                (4, "journal_code", "journals")):
-        label_rank, label_row = _ranks([(abuf, alo[:, col], ahi[:, col])])
+        lo, hi = _field(ends, col)
+        label_rank, label_row = _ranks(abuf, lo, hi)
         columns[codes], by_code = _first_use_codes(label_rank, label_row)
-        columns[labels] = _decode(articles, alo[label_row[by_code], col], ahi[label_row[by_code], col])
+        columns[labels] = _decode(articles, lo[label_row[by_code]], hi[label_row[by_code]])
     return dict(
         columns,
-        author_fields=(articles, alo[:, 5].copy(), ahi[:, 5].copy()),
+        author_fields=(articles, *_field(ends, 5)),
         citing=np.concatenate(citing),
         cited=np.concatenate(cited),
         self_loops=self_loops,
@@ -489,6 +560,8 @@ def read_tables(
     keep = pub_year[citing] >= pub_year[cited]
     n_future = len(citing) - int(keep.sum())
     citing, cited = citing[keep], cited[keep]
+    # A stable argsort and a keep mask, not np.unique(return_index=True): at 10M edges
+    # that set load_corpus' peak, 230 MB higher.
     key = citing * len(pub_year) + cited
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -526,7 +599,7 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     del named
     article = np.searchsorted(lo, tok_lo, "right") - 1
 
-    rank, first = _ranks([(buf, tok_lo, tok_hi)])
+    rank, first = _ranks(buf, tok_lo, tok_hi)
     names = _decode(data, tok_lo[first], tok_hi[first])
     del tok_lo, tok_hi
     n_names = len(first)

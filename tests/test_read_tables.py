@@ -121,7 +121,7 @@ def dirty_tables(draw):
         articles.append([art_id, draw(st.sampled_from([str(year), f" {year}", f"{year} "])),
                          draw(st.sampled_from(FIELDS)), draw(st.sampled_from(["NA", " EU ", ""])),
                          draw(st.sampled_from(["J1", "J2"])), draw(AUTHOR_TEXT)])
-    pool = ids + ["X"]  # X is never an article: dangling
+    pool = ids + draw(st.lists(st.sampled_from(NOT_IDS), min_size=1, max_size=2, unique=True))
     edges = [list(p) for p in draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=30))]
     fault = draw(st.sampled_from(FAULTS)) if draw(st.booleans()) else None
     bad = {
@@ -227,8 +227,11 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
 
 # -- the byte path --------------------------------------------------------------
 
-# Ids of one and two 8-byte words, and past the 64 bytes compared as words.
-BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7"]
+# Ids of one and two 8-byte words, and past the 64 bytes compared as words, and the empty id.
+BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7", ""]
+# Never articles (dangling): short, a prefix of an id, equal to an id in its first word, past
+# the longest id of at most 64 bytes, and past 64 bytes.
+NOT_IDS = ["X", "an id of", "an id of 2 wordz", "an id of 2 words!", "z" * 69]
 AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"]), max_size=5).map(";".join)
 
 
@@ -242,7 +245,7 @@ def clean_tables(draw):
     articles = [[art_id, draw(st.sampled_from(["1998", "2000", "2001", "2002", "02003", "2004"])),
                  draw(st.sampled_from(["F0", "F1", "Field two", "Fïeld"])), draw(st.sampled_from(["NA", " EU ", "", "Ásia"])),
                  draw(st.sampled_from(["J1", "J2", ""])), draw(AUTHOR_LISTS)] for art_id in ids]
-    pool = ids + ["X"]  # X is never an article: dangling
+    pool = ids + draw(st.lists(st.sampled_from(NOT_IDS), min_size=1, max_size=2, unique=True))
     edges = [list(p) for p in draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=30))]
 
     def render(header, rows):
