@@ -16,7 +16,7 @@ from citeconc import corpus as corpus_mod
 from citeconc import report as report_mod
 from citeconc import studies as studies_mod
 from citeconc import synthgen
-from citeconc.config import ConfigError, RunConfig, StudySpec, build_run, parse_config
+from citeconc.config import ConfigError, RunConfig, build_run, parse_config
 from citeconc.corpus import DataError
 
 EXIT_OK = 0
@@ -107,27 +107,6 @@ def _gen_params(run: RunConfig) -> synthgen.GenParams:
     return params
 
 
-def _run_study(corpus, spec: StudySpec) -> list[studies_mod.SeriesReport]:
-    cfg = spec.config
-    if spec.kind == "gini":
-        return [studies_mod.gini_series(corpus, cfg, study_id=spec.name)]
-    if spec.kind == "gini_by_field":
-        reports = []
-        for fld, rep in studies_mod.gini_by_field(corpus, cfg).items():
-            rep.study_id = f"{spec.name}_{fld}"
-            reports.append(rep)
-        return reports
-    if spec.kind == "uncited":
-        return [studies_mod.uncited_share_series(corpus, cfg, study_id=spec.name)]
-    if spec.kind == "region_removal":
-        return [studies_mod.region_removal_uncitedness(corpus, cfg, study_id=spec.name)]
-    if spec.kind == "region_tails":
-        return [studies_mod.region_tail_shares(corpus, cfg, top_pct=spec.top_pct, citing_level=spec.citing_level,
-                                               study_id=spec.name)]
-    # top_shares: the config admits no other type
-    return [studies_mod.top_share_series(corpus, cfg, list(spec.pcts), study_id=spec.name)]
-
-
 def cmd_analyze(config_path: str) -> int:
     try:
         with open(config_path, encoding="utf-8") as f:
@@ -154,17 +133,13 @@ def cmd_analyze(config_path: str) -> int:
     os.makedirs(run.out_dir, exist_ok=True)
     manifest = []
     try:
-        for spec in run.studies:
-            for rep in _run_study(corpus, spec):
+        for spec, reports in zip(run.studies, studies_mod.run_studies(corpus, run.studies)):
+            for rep in reports:
                 files = []
-                if "csv" in run.formats:
-                    path = os.path.join(run.out_dir, f"{rep.study_id}.csv")
-                    report_mod.write_csv(rep, path)
-                    files.append(os.path.basename(path))
-                if "json" in run.formats:
-                    path = os.path.join(run.out_dir, f"{rep.study_id}.json")
-                    report_mod.write_json(rep, path)
-                    files.append(os.path.basename(path))
+                for fmt, write in (("csv", report_mod.write_csv), ("json", report_mod.write_json)):
+                    if fmt in run.formats:
+                        write(rep, os.path.join(run.out_dir, f"{rep.study_id}.{fmt}"))
+                        files.append(f"{rep.study_id}.{fmt}")
                 manifest.append({
                     "study": spec.name,
                     "id": rep.study_id,

@@ -25,15 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from citeconc.normalize import RHO_SCOPE_STUDY
-from citeconc.studies import CITATION_BASED, REFERENCE_BASED, StudyConfig
+from citeconc.studies import CITATION_BASED, FORWARD_ONLY, REFERENCE_BASED, StudyConfig, StudySpec
 from citeconc.windows import BACKWARD, FORWARD, WindowSpec
 
 
 class ConfigError(Exception):
     pass
 
-
-FORWARD_ONLY = ("uncited", "region_removal", "region_tails", "top_shares")
 
 GLOBAL_KEYS = {
     "corpus.articles", "corpus.edges", "corpus.scenario",
@@ -65,16 +63,6 @@ STUDY_KEYS = set().union(*STUDY_TYPE_KEYS.values())
 
 # study-scoped keys may also appear globally as defaults
 DEFAULTABLE = STUDY_KEYS - {"type"}
-
-
-@dataclass
-class StudySpec:
-    name: str
-    kind: str
-    config: StudyConfig
-    pcts: tuple[float, ...] = (0.01, 0.05, 0.10)
-    top_pct: float = 0.01
-    citing_level: str = "edge"
 
 
 @dataclass

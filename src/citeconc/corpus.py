@@ -36,14 +36,16 @@ class DataError(Exception):
 class Corpus:
     """Immutable column store of articles plus a deduplicated citation edge list.
 
-    Article ``i`` has the id ``ids[i]``; ids are distinct (a repeat is a :class:`DataError`, which
-    for input files :func:`read_tables` raises with the line number).
+    Article ``i`` has the id ``ids[i]`` (an object array: one long id widens no other row); ids
+    are distinct (a repeat is a :class:`DataError`, which for input files :func:`read_tables`
+    raises with the line number).
     Fields, regions, journals and authors are integer codes into label lists.
     Authors are in CSR form: article ``i`` has the distinct authors ``authors[c]``
     for ``c`` in ``author_code[author_ptr[i]:author_ptr[i + 1]]``, listed in
     ascending order of author name, the order :func:`write_tables` emits.
     ``self_edge`` flags the edges whose two articles share an author; the
     builders compute it with ``_compute_self_edges`` and :meth:`subset` slices it.
+    ``year_gap`` is each edge's citing year less its cited year.
 
     Arrays are frozen after construction; every downstream operation treats the
     corpus as read-only, so unrestricted concurrent reads are safe.
@@ -52,7 +54,7 @@ class Corpus:
     def __init__(
         self,
         *,
-        ids: list[str],
+        ids: np.ndarray | list[str],
         pub_year: np.ndarray,
         field_code: np.ndarray,
         fields: list[str],
@@ -70,8 +72,9 @@ class Corpus:
         drops: dict[str, int],
         rows_read: tuple[int, int] = (0, 0),
     ):
-        self.ids = ids
-        if len(set(ids)) != len(ids):
+        self.ids = np.asarray(ids, dtype=object)
+        # Ids in ascending order, as the generator and subsets of its corpora give them, are distinct.
+        if not (self.ids[1:] > self.ids[:-1]).all() and len(set(self.ids.tolist())) != len(self.ids):
             raise DataError("duplicate article id in corpus construction")
         self.pub_year = np.asarray(pub_year, dtype=np.int32)
         self.field_code = np.asarray(field_code, dtype=np.int32)
@@ -90,9 +93,13 @@ class Corpus:
         self.rows_read = rows_read
         self.citing_year = self.pub_year[self.citing] if len(self.citing) else np.zeros(0, np.int32)
         self.cited_year = self.pub_year[self.cited] if len(self.cited) else np.zeros(0, np.int32)
+        self.year_gap = self.citing_year - self.cited_year
+        if len(self.pub_year) == 0 or np.ptp(self.pub_year) < 128:  # a byte per edge, not four
+            self.year_gap = self.year_gap.astype(np.int8)
         self.self_edge = np.asarray(self_edge, dtype=bool)
-        for arr in (self.pub_year, self.field_code, self.region_code, self.journal_code, self.author_ptr,
-                    self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.self_edge):
+        for arr in (self.ids, self.pub_year, self.field_code, self.region_code, self.journal_code, self.author_ptr,
+                    self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.year_gap,
+                    self.self_edge):
             arr.flags.writeable = False
 
     @property
@@ -112,7 +119,7 @@ class Corpus:
         remap[old_idx] = np.arange(len(old_idx))
         edge_keep = keep[self.citing] & keep[self.cited] if self.n_edges else np.zeros(0, bool)
         return Corpus(
-            ids=[self.ids[i] for i in old_idx],
+            ids=self.ids[old_idx],
             pub_year=self.pub_year[old_idx],
             field_code=self.field_code[old_idx],
             fields=self.fields,
@@ -379,7 +386,8 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[...,
     The ids hold no NUL byte, so their zero-padded words tell ids of at most
     _PREFIX bytes apart; the sorted ids are searched a word at a time, with the
     rank of each word among the ids' words at that level and the first sorted id
-    that shares the words so far as the key. Longer ids are found in a dict."""
+    that shares the words so far as the key (at the first level, read from a table
+    of where each rank starts). Longer ids are found in a dict."""
     n = hi - lo
     long = n > _PREFIX
     long_ids = {buf[a:b].tobytes(): i for i, a, b in zip(np.flatnonzero(long).tolist(), lo[long].tolist(),
@@ -401,6 +409,8 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[...,
     del words, order
     if len(long_ids) < long.sum() or (np.diff(prefix) == 0).any():
         return None
+    if levels:  # the first level keeps where each rank starts, with one more entry for a word above them all
+        levels[0] = (levels[0][0], np.searchsorted(levels[0][1], np.arange(len(levels[0][0]) + 1)))
 
     def find(fbuf: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
         fn = fhi - flo
@@ -414,10 +424,13 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[...,
         todo = todo[order]
         found = np.ones(len(todo), bool)
         at = np.zeros(len(todo), np.int64)
-        for word, (values, key) in zip(words, levels):
+        for level, (word, (values, key)) in enumerate(zip(words, levels)):
             word = word[order]
             probe = np.searchsorted(values, word)
             found &= values[np.minimum(probe, len(values) - 1)] == word
+            if level == 0:
+                at = key[probe]
+                continue
             probe += at * len(values)
             at = np.searchsorted(key, probe)
             found &= key[np.minimum(at, len(key) - 1)] == probe
@@ -682,8 +695,8 @@ def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
     ``csv.writer`` would, formatting whole columns of rows at a time."""
     labels = "".join(itertools.chain(corpus.ids, corpus.fields, corpus.regions, corpus.journals, corpus.authors))
     quoted = any(c in labels for c in '\t"\r\n')
-    fields, regions, journals, authors, ids = (np.array(v, dtype=object) for v in (
-        corpus.fields, corpus.regions, corpus.journals, corpus.authors, corpus.ids))
+    fields, regions, journals, authors = (np.array(v, dtype=object) for v in (
+        corpus.fields, corpus.regions, corpus.journals, corpus.authors))
 
     def article_columns(rows: slice) -> list:
         ptr = corpus.author_ptr[rows.start:rows.stop + 1]
@@ -695,4 +708,4 @@ def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
 
     _write_tsv(articles_path, ARTICLE_COLUMNS, corpus.n_articles, article_columns, quoted)
     _write_tsv(edges_path, EDGE_COLUMNS, corpus.n_edges,
-               lambda rows: [ids[corpus.citing[rows]], ids[corpus.cited[rows]]], quoted)
+               lambda rows: [corpus.ids[corpus.citing[rows]], corpus.ids[corpus.cited[rows]]], quoted)

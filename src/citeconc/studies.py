@@ -2,16 +2,15 @@
 backward approaches, uncitedness series, region-removal counterfactuals,
 regional tail shares, and top-x% share series.
 
-Every series is a reducer over one score table. `_score_table` takes a corpus
-and a `StudyConfig` and yields one row per study year: the year, the indices of
-its population, their raw in-window citation counts and their scores. Core
-journals, region removal and the field filter are applied once, in `_prepare`;
-the forward/backward fork lives only in the table. A forward row is the
-publication-year cohort; a backward row is the population published in the W
-years before the reference year, scored by the references made in that year.
-Raw-count series (uncited, top shares, region removal) build the table with
-`normalized=False` and so never normalise. Region removal reduces two tables,
-the corpus and its residual, to uncited shares and compares them.
+Every series is a reducer over a score table, one row per study year: the
+year, the indices of its population, their raw in-window citation counts and
+their scores. A forward row is the publication-year cohort; a backward row is
+the population published in the W years before the reference year, scored by
+the references made in that year. Region removal reduces two tables, the corpus
+and its residual, to uncited shares. `run_studies` runs a battery grouped by
+`table_key`: each prepared corpus (core journals, a region removed), mask and
+table is built once, and a table's rows are streamed to every reducer that
+reads it before the next table is built; `gini_series` etc. run one study.
 
 Every series emits one row per candidate year; years that cannot be scored get
 a null metric and a reason code instead of being dropped, so emitted series
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +51,7 @@ REASON_ZERO_BASELINE = "zero_baseline"
 
 GINI_COLUMNS = ["year", "n", "zero_count", "gini", "mean_raw_citations", "reason"]
 TAIL_COLUMNS = ["cited_low", "cited_top", "citing_low", "citing_top"]
+FORWARD_ONLY = ("uncited", "region_removal", "region_tails", "top_shares")
 
 # (year, population indices, raw in-window counts, scores) of one study year.
 Row = tuple[int, np.ndarray, np.ndarray, np.ndarray]
@@ -106,6 +106,18 @@ class StudyConfig:
         }
 
 
+@dataclass(frozen=True)
+class StudySpec:
+    """One study of a battery. ``name`` is its study id; None gives the type's default id."""
+
+    name: str | None
+    kind: str
+    config: StudyConfig
+    pcts: tuple[float, ...] = (0.01, 0.05, 0.10)
+    top_pct: float = 0.01
+    citing_level: str = "edge"
+
+
 @dataclass
 class SeriesReport:
     study_id: str
@@ -114,44 +126,30 @@ class SeriesReport:
     rows: list[dict[str, Any]] = field(default_factory=list)
 
 
-def _prepare(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray]:
-    """The corpus a study reads (core journals only, region removed) and the
-    indices of its articles in the configured field, stably sorted by
-    publication year: each year's articles in ascending index order."""
-    work = corpus
-    if cfg.core_only:
-        work = filter_core_journals(work)
-    if cfg.region_removed is not None:
-        if cfg.region_removed not in work.regions:
-            raise ValueError(f"unknown region {cfg.region_removed!r}")
-        work = work.subset(work.region_code != work.regions.index(cfg.region_removed))
-        if work.n_articles == 0:
-            raise ValueError("empty residual corpus")
+def table_key(cfg: StudyConfig, raw_counts: bool = False) -> StudyConfig:
+    """The score table a study of ``cfg`` reads; ``raw_counts`` for series that never normalise."""
+    return replace(cfg, include_uncited=True, normalized=cfg.normalized and not raw_counts)
+
+
+def _remove_region(work: Corpus, region: str) -> Corpus:
+    if region not in work.regions:
+        raise ValueError(f"unknown region {region!r}")
+    work = work.subset(work.region_code != work.regions.index(region))
+    if work.n_articles == 0:
+        raise ValueError("empty residual corpus")
+    return work
+
+
+def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
+    """The rows of the score table ``cfg`` over the prepared corpus ``work`` whose
+    in-window edges are ``mask``. Each population is the configured field's
+    articles of its years, in ascending index order within a year."""
     order = np.argsort(work.pub_year, kind="stable")
     if cfg.field_filter is not None:
         if cfg.field_filter not in work.fields:
             raise ValueError(f"unknown field {cfg.field_filter!r}")
         order = order[work.field_code[order] == work.fields.index(cfg.field_filter)]
-    return work, order
-
-
-def backward_reference_years(corpus: Corpus, cfg: StudyConfig) -> list[int]:
-    """Reference years whose cited population lies inside the span, less the
-    first of them when `drop_earliest_population` is set."""
-    start, end = corpus.span
-    years = [y for y in range(start, end + 1) if cited_population_backward(y, corpus.span, cfg.window) is not None]
-    return years[1:] if cfg.drop_earliest_population else years
-
-
-def _score_table(corpus: Corpus, cfg: StudyConfig) -> tuple[Corpus, np.ndarray, Iterator[Row]]:
-    """The prepared corpus, its in-window edge indices (ascending) and the lazy
-    rows of the study years, the population builder every series reduces over."""
-    work, order = _prepare(corpus, cfg)
-    edges = np.flatnonzero(in_window_edge_mask(work, cfg.window.length, cfg.exclude_self_citations))
-    return work, edges, _rows(work, order, edges, cfg)
-
-
-def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
+    edges = np.flatnonzero(mask)
     start, end = work.span
     # Articles published in [a, b) are order[at[a - start]:at[b - start]].
     at = np.searchsorted(work.pub_year[order], np.arange(start, end + 2, dtype=work.pub_year.dtype))
@@ -162,7 +160,7 @@ def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) 
         # Field means are summed over the pooled cohorts in ascending article order.
         pooled = np.sort(order[:at[len(years)]])
         if cfg.normalized and len(pooled):
-            scores[pooled] = nics_array(work, pooled, cfg.window, exclude_self=cfg.exclude_self_citations,
+            scores[pooled] = nics_array(work, pooled, mask, exclude_self=cfg.exclude_self_citations,
                                         mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope)
         for y in years:
             pop = order[at[y - start]:at[y - start + 1]]
@@ -172,9 +170,11 @@ def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) 
     citing_year = work.citing_year[edges]
     edge_at = np.searchsorted(citing_year, np.arange(start, end + 2, dtype=citing_year.dtype))
     if cfg.normalized:
-        mref = field_mean_reference_table(work, cfg.window.length, exclude_self=cfg.exclude_self_citations)
+        mref = field_mean_reference_table(work, mask)
         weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
-    for y in backward_reference_years(work, cfg):
+    # Reference years whose cited population lies inside the span, less the first with drop_earliest_population.
+    years = [y for y in range(start, end + 1) if cited_population_backward(y, work.span, cfg.window) is not None]
+    for y in years[1:] if cfg.drop_earliest_population else years:
         pub = cited_population_backward(y, work.span, cfg.window)
         pop = order[at[pub.start - start]:at[pub.stop - start]]
         lo, hi = edge_at[y - start], edge_at[y - start + 1]
@@ -185,11 +185,6 @@ def _rows(work: Corpus, order: np.ndarray, edges: np.ndarray, cfg: StudyConfig) 
         else:
             scores = raw.astype(np.float64)
         yield y, pop, raw, scores
-
-
-def _require_forward(cfg: StudyConfig) -> None:
-    if cfg.window.direction != FORWARD:
-        raise ValueError("forward window required")
 
 
 def _row(year: int, raw: np.ndarray, scores: np.ndarray, **metrics) -> dict[str, Any]:
@@ -214,162 +209,209 @@ def _gini_row(year: int, raw: np.ndarray, scores: np.ndarray, include_uncited: b
     return row
 
 
-def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
-    """Per-year Gini of the configured score distribution."""
-    sid = study_id or f"gini_{cfg.approach}_w{cfg.window.length}_{cfg.flags()}"
-    report = SeriesReport(study_id=sid, config=cfg.echo(), columns=list(GINI_COLUMNS))
-    _, _, rows = _score_table(corpus, cfg)
-    report.rows = [_gini_row(y, raw, scores, cfg.include_uncited) for y, _, raw, scores in rows]
-    return report
+# Reducers: a reducer is called with the prepared corpus, its in-window edge mask
+# and its own parameters, and returns the function from a table row to output rows.
+
+def _gini_reducer(work: Corpus, mask: np.ndarray, include_uncited: bool) -> Callable[..., list[dict]]:
+    return lambda y, pop, raw, scores: [_gini_row(y, raw, scores, include_uncited)]
 
 
-def _uncited_rows(corpus: Corpus, cfg: StudyConfig) -> list[dict[str, Any]]:
-    _require_forward(cfg)
-    _, _, rows = _score_table(corpus, replace(cfg, normalized=False))
-    out = []
-    for y, _, raw, _ in rows:
-        row = _row(y, raw, raw, uncited_share=None)
-        if len(raw):
-            row["uncited_share"] = row["zero_count"] / len(raw)
-        out.append(row)
-    return out
+def _field_gini_reducer(work: Corpus, mask: np.ndarray, include_uncited: bool,
+                        codes: tuple[int, ...]) -> Callable[..., list[dict]]:
+    """One Gini row per field code in ``codes``: the year's population split by field."""
+    return lambda y, pop, raw, scores: [_gini_row(y, raw[member], scores[member], include_uncited)
+                                        for member in work.field_code[pop] == np.asarray(codes)[:, None]]
 
 
-def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
-    """Fraction of each publication-year cohort with zero in-window citations."""
-    length, excl, core = cfg.window.length, cfg.exclude_self_citations, cfg.core_only
-    return SeriesReport(
-        study_id=study_id or f"uncited_citation_based_w{length}_{'s' if excl else ''}{'c' if core else ''}",
-        config={"window.length": length, "exclude_self": excl, "core_only": core},
-        columns=["year", "n", "zero_count", "uncited_share", "mean_raw_citations", "reason"],
-        rows=_uncited_rows(corpus, cfg),
-    )
+def _uncited_reducer(work: Corpus, mask: np.ndarray) -> Callable[..., list[dict]]:
+    return lambda y, pop, raw, scores: [
+        _row(y, raw, raw, uncited_share=int(np.count_nonzero(raw == 0)) / len(raw) if len(raw) else None)]
 
 
-def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
-    """Relative change in per-year uncited share when the region
-    `cfg.region_removed`'s articles and all their outgoing references are
-    removed from the corpus."""
-    region = cfg.region_removed
-    base = _uncited_rows(corpus, replace(cfg, region_removed=None))
-    removed = _uncited_rows(corpus, cfg)
-    report = SeriesReport(
-        study_id=study_id or f"region_removal_{region}_w{cfg.window.length}",
-        config={"region": region, "window.length": cfg.window.length, "exclude_self": cfg.exclude_self_citations},
-        columns=["year", "baseline_share", "removed_share", "relative_change", "reason"],
-    )
-    for b, r in zip(base, removed):
-        row: dict[str, Any] = {
-            "year": b["year"],
-            "baseline_share": b["uncited_share"],
-            "removed_share": r["uncited_share"],
-            "relative_change": None,
-            "reason": b["reason"] or r["reason"],
-        }
-        if row["reason"] is None:
-            if b["uncited_share"] == 0:
-                row["reason"] = REASON_ZERO_BASELINE
-            else:
-                row["relative_change"] = (r["uncited_share"] - b["uncited_share"]) / b["uncited_share"]
-        report.rows.append(row)
-    return report
+def _top_reducer(work: Corpus, mask: np.ndarray, pcts: tuple[float, ...]) -> Callable[..., list[dict]]:
+    def reduce(y, pop, raw, vals):
+        row = _row(y, raw, vals, **{f"top_{p:g}": None for p in pcts})
+        if row["reason"] is None and vals.sum() == 0:
+            row["reason"] = REASON_ZERO_TOTAL
+        elif row["reason"] is None:
+            d = concentration.Distribution(vals)
+            row.update((f"top_{p:g}", concentration.top_share(d, p)) for p in pcts)
+        return [row]
+    return reduce
 
 
-def region_tail_shares(
-    corpus: Corpus,
-    cfg: StudyConfig,
-    top_pct: float = 0.01,
-    citing_level: str = "edge",
-    study_id: str | None = None,
-) -> SeriesReport:
-    """Per-year regional shares at the tails of the citation distribution.
-
-    cited_low / cited_top: the region's share of single-cited articles and of
-    the top-pct articles by score. citing_low / citing_top: the region's share
-    of the citations that go to those two groups ("edge" level) or of the
-    distinct articles providing them ("article" level).
-    """
-    _require_forward(cfg)
-    if citing_level not in ("edge", "article"):
-        raise ValueError("citing_level must be 'edge' or 'article'")
-    report = SeriesReport(
-        study_id=study_id or f"region_tails_w{cfg.window.length}",
-        config={"window.length": cfg.window.length, "exclude_self": cfg.exclude_self_citations,
-                "top_pct": top_pct, "citing_level": citing_level},
-        columns=["year", "region", *TAIL_COLUMNS, "reason"],
-    )
-    work, edges, rows = _score_table(corpus, cfg)
+def _tails_reducer(work: Corpus, mask: np.ndarray, top_pct: float, citing_level: str) -> Callable[..., list[dict]]:
+    """One row per region and cohort year; see :func:`region_tail_shares`."""
     start = work.span[0]
-    ids = np.asarray(work.ids)
+    edges = np.flatnonzero(mask)
     edges = edges[np.argsort(work.cited_year[edges], kind="stable")]
     cited_year = work.cited_year[edges]
     edge_at = np.searchsorted(cited_year, np.arange(start, work.span[1] + 2, dtype=cited_year.dtype))
     nreg = len(work.regions)
 
     def shares(article_idx: np.ndarray) -> list[float | None]:
-        if len(article_idx) == 0:
-            return [None] * nreg
         counts = np.bincount(work.region_code[article_idx], minlength=nreg)
-        return (counts / counts.sum()).tolist()
+        return (counts / counts.sum()).tolist() if len(article_idx) else [None] * nreg
 
-    for y, cohort, raw, scores in rows:
+    def reduce(y, cohort, raw, scores):
         year_edges = edges[edge_at[y - start]:edge_at[y - start + 1]]
         single = cohort[raw == 1]
-        top = cohort[np.lexsort((ids[cohort], -scores))[:math.ceil(top_pct * len(cohort))]]
+        top = cohort[np.lexsort((work.ids[cohort], -scores))[:math.ceil(top_pct * len(cohort))]]
         cols = [shares(single), shares(top)]
         for group in (single, top):
             citing = work.citing[year_edges[np.isin(work.cited[year_edges], group)]]
             cols.append(shares(np.unique(citing) if citing_level == "article" else citing))
         reason = REASON_EMPTY if len(cohort) == 0 else "no_single_cited" if len(single) == 0 else None
-        for rcode, region in enumerate(work.regions):
-            row: dict[str, Any] = {"year": y, "region": region, "reason": reason}
-            row.update((name, col[rcode]) for name, col in zip(TAIL_COLUMNS, cols))
-            report.rows.append(row)
-    return report
+        return [{"year": y, "region": region, "reason": reason, **{n: col[r] for n, col in zip(TAIL_COLUMNS, cols)}}
+                for r, region in enumerate(work.regions)]
+    return reduce
 
 
-def top_share_series(
-    corpus: Corpus,
-    cfg: StudyConfig,
-    pcts: list[float],
-    study_id: str | None = None,
-) -> SeriesReport:
+def _region_removal_rows(base: list[dict], removed: list[dict]) -> list[dict]:
+    rows = []
+    for b, r in zip(base, removed):
+        before, after = b["uncited_share"], r["uncited_share"]
+        reason = b["reason"] or r["reason"] or (REASON_ZERO_BASELINE if before == 0 else None)
+        rows.append({"year": b["year"], "baseline_share": before, "removed_share": after,
+                     "relative_change": None if reason else (after - before) / before, "reason": reason})
+    return rows
+
+
+def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tuple]], Callable]:
+    """A study's reads (table key, then reducer and parameters) and its report maker over their rows."""
+    cfg, w, excl = spec.config, spec.config.window.length, spec.config.exclude_self_citations
+    if spec.kind in FORWARD_ONLY and cfg.window.direction != FORWARD:
+        raise ValueError("forward window required")
+    counts, combine = table_key(cfg, raw_counts=True), lambda rows: rows
+    if spec.kind == "gini":
+        reads = [(table_key(cfg), (_gini_reducer, cfg.include_uncited))]
+        sid, config, columns = f"gini_{cfg.approach}_w{w}_{cfg.flags()}", cfg.echo(), GINI_COLUMNS
+    elif spec.kind == "uncited":
+        reads = [(counts, (_uncited_reducer,))]
+        sid = f"uncited_citation_based_w{w}_{'s' if excl else ''}{'c' if cfg.core_only else ''}"
+        config = {"window.length": w, "exclude_self": excl, "core_only": cfg.core_only}
+        columns = ["year", "n", "zero_count", "uncited_share", "mean_raw_citations", "reason"]
+    elif spec.kind == "top_shares":
+        reads, sid = [(counts, (_top_reducer, tuple(spec.pcts)))], f"top_shares_w{w}"
+        config = {"window.length": w, "pcts": list(spec.pcts), "exclude_self": excl}
+        columns = ["year", "n", "zero_count", *(f"top_{p:g}" for p in spec.pcts), "mean_raw_citations", "reason"]
+    elif spec.kind == "region_tails":
+        if spec.citing_level not in ("edge", "article"):
+            raise ValueError("citing_level must be 'edge' or 'article'")
+        reads, sid = [(table_key(cfg), (_tails_reducer, spec.top_pct, spec.citing_level))], f"region_tails_w{w}"
+        config = {"window.length": w, "exclude_self": excl, "top_pct": spec.top_pct, "citing_level": spec.citing_level}
+        columns = ["year", "region", *TAIL_COLUMNS, "reason"]
+    elif spec.kind == "region_removal":
+        reads = [(table_key(replace(cfg, region_removed=None), raw_counts=True), (_uncited_reducer,)),
+                 (counts, (_uncited_reducer,))]
+        sid, combine = f"region_removal_{cfg.region_removed}_w{w}", _region_removal_rows
+        config = {"region": cfg.region_removed, "window.length": w, "exclude_self": excl}
+        columns = ["year", "baseline_share", "removed_share", "relative_change", "reason"]
+    elif spec.kind == "gini_by_field":
+        present = sorted((corpus.fields[c], c) for c in np.unique(corpus.field_code).tolist())
+        reads = [(table_key(replace(cfg, field_filter=None)),
+                  (_field_gini_reducer, cfg.include_uncited, tuple(c for _, c in present)))]
+        return reads, lambda rows: [
+            SeriesReport(f"{spec.name}_{f}" if spec.name else f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}",
+                         replace(cfg, field_filter=f).echo(), list(GINI_COLUMNS), rows[0][k::len(present)])
+            for k, (f, _) in enumerate(present)]
+    else:
+        raise ValueError(f"unknown study type {spec.kind!r}")
+    return reads, lambda rows: [SeriesReport(spec.name or sid, config, list(columns), combine(*rows))]
+
+
+def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -> dict:
+    """The output rows of every read, or the ValueError its table raised. Tables are
+    grouped by prepared corpus, then by mask, each group in order of first use; each
+    table's rows are built one at a time and handed to all its reducers."""
+    tree: dict = {}  # core_only -> region removed -> (W, exclude_self) -> table key -> reducers
+    for key, reducer in reads:
+        by_mask = tree.setdefault(key.core_only, {}).setdefault(key.region_removed, {})
+        by_mask.setdefault((key.window.length, key.exclude_self_citations), {}).setdefault(key, {})[reducer] = None
+    out: dict = {}
+    for core_only, by_region in tree.items():
+        base = filter_core_journals(corpus) if core_only else corpus
+        for region, by_mask in by_region.items():
+            try:
+                work = base if region is None else _remove_region(base, region)
+            except ValueError as e:
+                out.update(((key, r), e) for tables in by_mask.values() for key, rs in tables.items() for r in rs)
+                continue
+            for (length, excl), tables in by_mask.items():
+                mask = in_window_edge_mask(work, length, excl)
+                for key, reducers in tables.items():
+                    try:
+                        fns = [fn(work, mask, *params) for fn, *params in reducers]
+                        results: list = [[] for _ in fns]
+                        for row in _rows(work, mask, key):
+                            for fn, rows in zip(fns, results):
+                                rows.extend(fn(*row))
+                    except ValueError as e:
+                        results = [e] * len(reducers)
+                    out.update(zip([(key, r) for r in reducers], results))
+            del work, mask  # before the next prepared corpus is built
+    return out
+
+
+def run_studies(corpus: Corpus, specs: Sequence[StudySpec]) -> Iterator[list[SeriesReport]]:
+    """Run a battery, building each score table, mask and prepared corpus it reads
+    once; returns an iterator over each study's reports in the order of ``specs``,
+    where a study that cannot run raises its ValueError. Studies may share row dicts."""
+    plans: list = []
+    for spec in specs:
+        try:
+            plans.append(_plan(corpus, spec))
+        except ValueError as e:
+            plans.append(e)
+    rows = _reduce_tables(corpus, [read for plan in plans if not isinstance(plan, ValueError) for read in plan[0]])
+    return _in_turn(plans, rows)
+
+
+def _in_turn(plans: list, rows: dict) -> Iterator[list[SeriesReport]]:
+    for plan in plans:
+        got = [plan] if isinstance(plan, ValueError) else [rows[read] for read in plan[0]]
+        for error in (r for r in got if isinstance(r, ValueError)):
+            raise error
+        yield plan[1](got)
+
+
+def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+    """Per-year Gini of the configured score distribution."""
+    return next(run_studies(corpus, [StudySpec(study_id, "gini", cfg)]))[0]
+
+
+def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+    """Fraction of each publication-year cohort with zero in-window citations."""
+    return next(run_studies(corpus, [StudySpec(study_id, "uncited", cfg)]))[0]
+
+
+def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+    """Relative change in per-year uncited share when the region
+    `cfg.region_removed`'s articles and all their outgoing references are
+    removed from the corpus."""
+    return next(run_studies(corpus, [StudySpec(study_id, "region_removal", cfg)]))[0]
+
+
+def region_tail_shares(corpus: Corpus, cfg: StudyConfig, top_pct: float = 0.01, citing_level: str = "edge",
+                       study_id: str | None = None) -> SeriesReport:
+    """Per-year regional shares at the tails of the citation distribution.
+
+    cited_low / cited_top: the region's share of single-cited articles and of
+    the top-pct articles by score (ties broken by id). citing_low / citing_top:
+    the region's share of the citations that go to those two groups ("edge"
+    level) or of the distinct articles providing them ("article" level).
+    """
+    spec = StudySpec(study_id, "region_tails", cfg, top_pct=top_pct, citing_level=citing_level)
+    return next(run_studies(corpus, [spec]))[0]
+
+
+def top_share_series(corpus: Corpus, cfg: StudyConfig, pcts: list[float], study_id: str | None = None) -> SeriesReport:
     """Per-year share of raw in-window citations held by the top-x% articles."""
-    _require_forward(cfg)
-    pct_cols = [f"top_{p:g}" for p in pcts]
-    report = SeriesReport(
-        study_id=study_id or f"top_shares_w{cfg.window.length}",
-        config={"window.length": cfg.window.length, "pcts": list(pcts), "exclude_self": cfg.exclude_self_citations},
-        columns=["year", "n", "zero_count"] + pct_cols + ["mean_raw_citations", "reason"],
-    )
-    _, _, rows = _score_table(corpus, replace(cfg, normalized=False))
-    for y, _, raw, vals in rows:
-        row = _row(y, raw, vals, **dict.fromkeys(pct_cols))
-        if row["reason"] is None and vals.sum() == 0:
-            row["reason"] = REASON_ZERO_TOTAL
-        elif row["reason"] is None:
-            d = concentration.Distribution(vals)
-            row.update((c, concentration.top_share(d, p)) for c, p in zip(pct_cols, pcts))
-        report.rows.append(row)
-    return report
+    return next(run_studies(corpus, [StudySpec(study_id, "top_shares", cfg, pcts=tuple(pcts))]))[0]
 
 
 def gini_by_field(corpus: Corpus, cfg: StudyConfig) -> dict[str, SeriesReport]:
     """gini_series restricted to each field present in the corpus: one table,
     each year's population split by field."""
-    present = sorted((corpus.fields[c], c) for c in np.unique(corpus.field_code))
-    out = {
-        f: SeriesReport(
-            study_id=f"gini_field_{f}_{cfg.approach}_w{cfg.window.length}_{cfg.flags()}",
-            config=replace(cfg, field_filter=f).echo(),
-            columns=list(GINI_COLUMNS),
-        )
-        for f, _ in present
-    }
-    work, _, rows = _score_table(corpus, replace(cfg, field_filter=None))
-    for y, pop, raw, scores in rows:
-        pop_field = work.field_code[pop]
-        for f, code in present:
-            member = pop_field == code
-            out[f].rows.append(_gini_row(y, raw[member], scores[member], cfg.include_uncited))
-    return out
+    reports = next(run_studies(corpus, [StudySpec(None, "gini_by_field", cfg)]))
+    return {rep.config["field_filter"]: rep for rep in reports}

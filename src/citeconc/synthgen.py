@@ -187,8 +187,16 @@ def generate(params: GenParams) -> Corpus:
     cited = np.concatenate(cited_parts) if cited_parts else np.zeros(0, dtype=np.int64)
     del citing_parts, cited_parts
 
+    # Ids "p000000", ...: digits in byte rows split into strings, 2^16 at a time (whole-column temporaries
+    # raised the generator's peak RSS by 10 MB at 302k articles).
     width = max(6, len(str(n_total)))
-    ids = [f"p{i:0{width}d}" for i in range(n_total)]
+    ids = np.empty(n_total, object)
+    for lo in range(0, n_total, 1 << 16):
+        number = np.arange(lo, min(n_total, lo + (1 << 16)))
+        cells = np.full((len(number), width + 2), ord("p"), np.uint8)
+        cells[:, 1:-1] = number[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
+        cells[:, -1] = ord("\n")
+        ids[lo:lo + len(number)] = cells.tobytes().decode("ascii").split("\n")[:-1]
     author_keys = np.sort(np.concatenate(author_keys))
     author_keys = author_keys[np.diff(author_keys, prepend=-1) != 0]  # not np.unique: its int64 hash path is slow
     author_ptr = np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))])

@@ -1,6 +1,6 @@
 """First-principles reference for citation windows, normalisation and the
-per-year Gini and uncited-share series, written as plain loops over dicts and
-lists.
+per-year Gini, uncited-share, top-share and regional-tail series, written as
+plain loops over dicts and lists.
 
 It reads a corpus only through its columns (ids, publication years, labels,
 the author CSR and the edge list) and shares nothing with the library: it
@@ -11,6 +11,7 @@ compare the vectorised library with it.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 
@@ -186,6 +187,23 @@ def gini(values: list[float]) -> float:
     return sum(abs(x - y) for x in values for y in values) / (2 * n * n * (sum(values) / n))
 
 
+def lorenz(values: list[float], points: int = 100) -> list[tuple[float, float]]:
+    """Lorenz curve of non-negative values with a positive sum: (population
+    share, value share) at `points` evenly spaced population shares and both
+    endpoints, interpolated linearly between the sorted values' cumulative shares."""
+    x = sorted(values)
+    n, total = len(x), sum(x)
+    cum = [0.0]
+    for v in x:
+        cum.append(cum[-1] + v)
+    shares = sorted({0.0, 1.0} | {k / (points - 1) for k in range(points) if points > 1})
+    curve = []
+    for p in shares:
+        k = min(int(p * n), n - 1)
+        curve.append((p, (cum[k] + (p * n - k) * x[k]) / total))
+    return curve
+
+
 def _base_row(year: int, raw: list[int], scores: list[float]) -> dict:
     return {
         "year": year,
@@ -259,6 +277,60 @@ def uncited_rows(t: Tables, *, length: int, exclude_self: bool = False, core_onl
             row["uncited_share"] = row["zero_count"] / len(raw)
         rows.append(row)
     return rows
+
+
+def top_share_rows(t: Tables, *, length: int, pcts: list[float], exclude_self: bool = False) -> list[dict]:
+    """One row per eligible publication year: year, n, zero_count, top_<pct>
+    (the share of the year's in-window citations held by its ceil(pct * n) most
+    cited articles), mean_raw_citations, reason."""
+    raw = {a: 0 for a in t.articles}
+    for _, dst in counted_edges(t, length, exclude_self):
+        raw[dst] += 1
+    rows = []
+    for y in forward_years(t.span, length):
+        counts = [raw[a] for a in t.articles if t.year(a) == y]
+        row = {**_base_row(y, counts, counts), **{f"top_{p:g}": None for p in pcts}}
+        if row["reason"] is None and sum(counts) == 0:
+            row["reason"] = "zero_total"
+        elif row["reason"] is None:
+            ranked = sorted(counts, reverse=True)
+            row.update((f"top_{p:g}", sum(ranked[:math.ceil(p * len(counts))]) / sum(counts)) for p in pcts)
+        rows.append(row)
+    return rows
+
+
+def region_tail_rows(t: Tables, *, length: int, top_pct: float, citing_level: str,
+                     exclude_self: bool = False) -> dict[tuple[int, str], dict]:
+    """Regional tail shares of each eligible publication year, by (year, region)
+    over the regions of the articles, with articles ranked by their raw
+    in-window citation counts. cited_low and cited_top are a region's shares of
+    the year's single-cited articles and of its ceil(top_pct * n) most cited
+    (ties to the smaller id); citing_low and citing_top its shares of the
+    in-window citations those groups receive, counted per citation ("edge") or
+    per distinct citing article ("article")."""
+    edges = counted_edges(t, length, exclude_self)
+    raw = {a: 0 for a in t.articles}
+    for _, dst in edges:
+        raw[dst] += 1
+    regions = sorted({rec.region for rec in t.articles.values()})
+
+    def shares(members: list[str]) -> dict[str, float | None]:
+        return {r: sum(1 for a in members if t.articles[a].region == r) / len(members) if members else None
+                for r in regions}
+
+    out = {}
+    for y in forward_years(t.span, length):
+        cohort = [a for a in t.articles if t.year(a) == y]
+        single = [a for a in cohort if raw[a] == 1]
+        top = sorted(cohort, key=lambda a: (-raw[a], a))[:math.ceil(top_pct * len(cohort))]
+        cols = {"cited_low": shares(single), "cited_top": shares(top)}
+        for name, group in (("citing_low", set(single)), ("citing_top", set(top))):
+            citing = [src for src, dst in edges if dst in group]
+            cols[name] = shares(sorted(set(citing)) if citing_level == "article" else citing)
+        reason = "empty_cohort" if not cohort else "no_single_cited" if not single else None
+        for r in regions:
+            out[(y, r)] = {"year": y, "region": r, "reason": reason, **{c: v[r] for c, v in cols.items()}}
+    return out
 
 
 def end_to_end_change(rows: list[dict], metric: str = "gini") -> float:

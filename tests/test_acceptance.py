@@ -20,14 +20,17 @@ from citeconc.concentration import Distribution, gini, top_share
 from citeconc.normalize import nics_array
 from citeconc.studies import (
     StudyConfig,
+    StudySpec,
     gini_series,
     region_removal_uncitedness,
+    run_studies,
     uncited_share_series,
 )
 from citeconc.windows import (
     WindowSpec,
     cited_population_backward,
     eligible_pub_years_forward,
+    in_window_edge_mask,
 )
 from conftest import make_corpus
 from oracle import end_to_end_change
@@ -101,7 +104,8 @@ def test_c3_field_mean_is_one():
         w = WindowSpec("forward", length)
         years = list(eligible_pub_years_forward(corpus.span, w))
         idx = np.flatnonzero(np.isin(corpus.pub_year, years))
-        scores = nics_array(corpus, idx, w, exclude_self=False, mics_per_year=False, rho_scope="study")
+        scores = nics_array(corpus, idx, in_window_edge_mask(corpus, length), exclude_self=False,
+                            mics_per_year=False, rho_scope="study")
         for code in range(len(corpus.fields)):
             members = scores[corpus.field_code[idx] == code]
             if len(members) and members.sum() > 0:
@@ -256,14 +260,12 @@ def test_c11_performance():
     corpus = synthgen.generate(params)
     assert corpus.n_articles == 1_000_000
     assert corpus.n_edges >= 9_500_000
-    for approach in ("citation_based", "reference_based"):
-        direction = "forward" if approach == "citation_based" else "backward"
-        for length in (2, 5, 10):
-            for include in (True, False):
-                cfg = StudyConfig(window=WindowSpec(direction, length),
-                                  approach=approach, include_uncited=include)
-                rows = gini_series(corpus, cfg).rows
-                assert any(r["gini"] is not None for r in rows)
+    specs = [StudySpec(None, "gini", StudyConfig(window=WindowSpec(direction, length), approach=approach,
+                                                 include_uncited=include))
+             for approach, direction in (("citation_based", "forward"), ("reference_based", "backward"))
+             for length in (2, 5, 10) for include in (True, False)]
+    for (report,) in run_studies(corpus, specs):  # the battery helper `citeconc analyze` runs
+        assert any(r["gini"] is not None for r in report.rows)
     elapsed = time.perf_counter() - t0
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
     print(f"  [battery: {elapsed:.1f} s, peak {peak_gb:.2f} GB, "

@@ -1,11 +1,13 @@
+import importlib
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from citeconc import synthgen
+from citeconc import studies, synthgen
 from citeconc.cli import _gen_params, main
+from citeconc.corpus import Corpus
 from citeconc.config import build_run, parse_config
 from conftest import ARTICLES_TSV, EDGES_TSV
 
@@ -379,3 +381,39 @@ def test_console_script_installed(tmp_path):
     proc = subprocess.run(cmd + ["generate", "--scenario", "bogus", "--out", str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
+
+
+def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, monkeypatch):
+    # The benchmark's battery (every study type and flag) at a small scale.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    text, names = importlib.import_module("workloads").analyze_config(20240603, str(tmp_path / "out"), 0.05)
+    cfg = tmp_path / "battery.conf"
+    cfg.write_text(text)
+    masks, cores, subsets = [], [], []
+    mask, core, subset = studies.in_window_edge_mask, studies.filter_core_journals, Corpus.subset
+
+    def counted_mask(corpus, length, exclude_self=False):
+        masks.append((corpus, length, exclude_self))
+        return mask(corpus, length, exclude_self)
+
+    def counted_core(corpus):
+        cores.append(corpus)
+        return core(corpus)
+
+    def counted_subset(corpus, keep):
+        subsets.append((corpus, keep.tobytes()))
+        return subset(corpus, keep)
+
+    monkeypatch.setattr(studies, "in_window_edge_mask", counted_mask)
+    monkeypatch.setattr(studies, "filter_core_journals", counted_core)
+    monkeypatch.setattr(Corpus, "subset", counted_subset)
+    assert main(["analyze", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
+    assert list(dict.fromkeys(e["study"] for e in manifest)) == names
+    # W in {2, 5, 10} with and without self-citations on the corpus, W = 5 on the
+    # core-journal corpus and on each of the five residuals of region removal.
+    assert len(masks) == len(set(masks)) == 12
+    assert len(cores) == 1
+    assert len(subsets) == len(set(subsets)) == 6  # the core-journal corpus and five residuals
+    # CSV cells are written with repr(): a numpy scalar would show as np.float64(...).
+    assert not any("np." in p.read_text() for p in (tmp_path / "out").glob("*.csv"))

@@ -87,8 +87,25 @@ def test_corpus_constructor_rejects_duplicate_ids():
                       span=(2000, 2000), drops={})
 
     assert build(["A", "B", "C"]).n_articles == 3
-    with pytest.raises(DataError, match=r"^duplicate article id in corpus construction$"):
-        build(["A", "B", "A"])
+    for ids in (["A", "B", "A"], ["A", "A", "B"]):  # unsorted, and in order but not strictly ascending
+        with pytest.raises(DataError, match=r"^duplicate article id in corpus construction$"):
+            build(ids)
+
+
+def test_one_long_id_does_not_widen_the_id_column(tmp_path):
+    # A fixed-width string column would give each of the 10,001 ids 4,096 characters.
+    long_id = "L" * 4096
+    ids = [f"a{i:05d}" for i in range(10_000)]
+    ids.insert(5_000, long_id)
+    ap, ep = tmp_path / "a.tsv", tmp_path / "e.tsv"
+    ap.write_text(ART_HEADER + "".join(f"{a}\t2000\tF\tR\tJ\t\n" for a in ids))
+    ep.write_text(EDGE_HEADER + f"{long_id}\ta00000\n")
+    corpus = load_corpus_files(str(ap), str(ep), (2000, 2000))
+    half = corpus.subset(np.arange(corpus.n_articles) % 2 == 0)
+    for c in (corpus, half):
+        assert c.ids.nbytes < 1 << 20
+        assert long_id in c.ids.tolist()
+    assert corpus.ids[corpus.citing[0]] == long_id
 
 
 def test_malformed_rows_report_line_numbers():
@@ -176,7 +193,7 @@ def test_round_trip(tmp_path, fixture_corpus):
     ap, ep = str(tmp_path / "a.tsv"), str(tmp_path / "e.tsv")
     write_tables(fixture_corpus, ap, ep)
     c2 = load_corpus_files(ap, ep, fixture_corpus.span)
-    assert c2.ids == fixture_corpus.ids
+    assert list(c2.ids) == list(fixture_corpus.ids)
     assert np.array_equal(c2.pub_year, fixture_corpus.pub_year)
     assert np.array_equal(c2.citing, fixture_corpus.citing)
     assert np.array_equal(c2.cited, fixture_corpus.cited)
@@ -211,7 +228,7 @@ def test_core_filter_idempotent():
     c = make_corpus(arts, EDGE_HEADER, span=(2000, 2001))
     once = filter_core_journals(c)
     twice = filter_core_journals(once)
-    assert once.ids == twice.ids
+    assert list(once.ids) == list(twice.ids)
     assert once.n_edges == twice.n_edges
 
 

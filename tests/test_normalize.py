@@ -4,7 +4,7 @@ import pytest
 import oracle
 from citeconc import studies
 from citeconc.normalize import field_mean_reference_table, ics_array, nics_array, year_weights
-from citeconc.windows import WindowSpec
+from citeconc.windows import WindowSpec, in_window_edge_mask
 from conftest import id_index, make_corpus
 
 FWD2 = WindowSpec("forward", 2)
@@ -15,23 +15,23 @@ def nics(cohort, w, corpus, exclude_self=False, mics_per_year=False, rho_scope="
     """The library's normalized score per article id of a cohort."""
     row = id_index(corpus)
     idx = np.asarray([row[a] for a in cohort], dtype=np.int64)
-    scores = nics_array(corpus, idx, w, exclude_self=exclude_self, mics_per_year=mics_per_year, rho_scope=rho_scope)
+    scores = nics_array(corpus, idx, in_window_edge_mask(corpus, w.length, exclude_self), exclude_self=exclude_self,
+                        mics_per_year=mics_per_year, rho_scope=rho_scope)
     return dict(zip(cohort, scores.tolist()))
 
 
 def field_mean_references(corpus, field, ref_year, w, exclude_self=False):
     """One cell of the library's field mean reference table."""
-    table = field_mean_reference_table(corpus, w.length, exclude_self)
+    table = field_mean_reference_table(corpus, in_window_edge_mask(corpus, w.length, exclude_self))
     return float(table[corpus.fields.index(field), ref_year - corpus.span[0]])
 
 
 def backward_scores(corpus, ref_year, w, exclude_self=False):
     """The library's normalized reference counts of ref_year's cited population, by id."""
     cfg = studies.StudyConfig(window=w, approach="reference_based", exclude_self_citations=exclude_self)
-    work, _, rows = studies._score_table(corpus, cfg)
-    for year, pop, _, scores in rows:
+    for year, pop, _, scores in studies._rows(corpus, in_window_edge_mask(corpus, w.length, exclude_self), cfg):
         if year == ref_year:
-            return {work.ids[i]: s for i, s in zip(pop.tolist(), scores.tolist())}
+            return {corpus.ids[i]: s for i, s in zip(pop.tolist(), scores.tolist())}
     raise KeyError(ref_year)
 
 
@@ -55,7 +55,7 @@ def test_year_weights_empty():
 
 def test_ics_fixture(fixture_corpus):
     c = fixture_corpus
-    scores = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
+    scores = ics_array(c, in_window_edge_mask(c, FWD2.length), exclude_self=False, rho_scope="study")
     row = id_index(c)
     # A: 1 cite in 2001 (rho 1.0) + 1 in 2002 (rho 0.5)
     assert scores[row["A"]] == pytest.approx(1.5)
@@ -106,7 +106,7 @@ def test_nics_invariant_under_uniform_rho_scaling(fixture_corpus):
     cohort = ["A", "B", "C", "D"]
     base = {a: oracle.ics(t, a, 2, w) for a in cohort}
     scaled = {a: oracle.ics(t, a, 2, {y: 3.7 * v for y, v in w.items()}) for a in cohort}
-    library = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
+    library = ics_array(c, in_window_edge_mask(c, FWD2.length), exclude_self=False, rho_scope="study")
     row = id_index(c)
     assert base == pytest.approx({a: library[row[a]] for a in cohort}, rel=1e-12)
 

@@ -1,15 +1,18 @@
-"""Differential test of the per-year Gini and uncited-share series against the
-first-principles reference in ``oracle.py``, over every flag that changes
-which citations count or how they are weighted."""
+"""Differential test of the per-year Gini, uncited-share, top-share and
+regional-tail series against the first-principles reference in ``oracle.py``,
+over every flag that changes which citations count or how they are weighted."""
 
 import itertools
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from citeconc.studies import StudyConfig, gini_series, uncited_share_series
+from citeconc import synthgen
+from citeconc.corpus import load_corpus_files, write_tables
+from citeconc.studies import StudyConfig, gini_series, region_tail_shares, top_share_series, uncited_share_series
 from citeconc.windows import WindowSpec
 from conftest import make_corpus
 
@@ -105,3 +108,58 @@ def test_series_match_oracle_on_the_fixture_for_every_flag(fixture_corpus):
             ["citation_based", "reference_based"], [1, 2, 3], *[[False, True]] * len(DRAWN_FLAGS)):
         for variant in every_normalisation({"approach": approach, "length": length, **dict(zip(DRAWN_FLAGS, values))}):
             check_against_oracle(fixture_corpus, variant)
+
+
+@st.composite
+def regional_corpora(draw):
+    """Up to 24 articles over a 2-6 year span in three regions, with ids that
+    are a shuffled numbering (id order is not row order), 0-2 authors each from
+    a pool of 3 and up to 4 references each."""
+    span = (2000, 2000 + draw(st.integers(1, 5)))
+    n = draw(st.integers(0, 24))
+    names = draw(st.permutations([f"A{k:02d}" for k in range(n)]))
+    years = [draw(st.integers(*span)) for _ in range(n)]
+    rows, edges = [], []
+    for i, year in enumerate(years):
+        authors = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=2))
+        rows.append(f"{names[i]}\t{year}\tF\t{draw(st.sampled_from(['North', 'South', 'East']))}\tJ"
+                    f"\t{';'.join(authors)}\n")
+        edges += [(i, j) if year >= years[j] else (j, i) for j in draw(st.lists(st.integers(0, n - 1), max_size=4))]
+    return make_corpus(ART_HEADER + "".join(rows),
+                       EDGE_HEADER + "".join(f"{names[a]}\t{names[b]}\n" for a, b in edges), span)
+
+
+def check_tails_and_top_shares(corpus):
+    """region_tails at both citing levels and top_shares against the oracle.
+    Articles are ranked by raw counts (``normalized=False``), whose ties are
+    exact, so the top-k tie-break by id is what decides them."""
+    t = oracle.read(corpus)
+    pcts = [0.01, 0.25, 0.5, 1.0]
+    for length, excl in itertools.product([1, 2, 3], [False, True]):
+        cfg = StudyConfig(window=WindowSpec("forward", length), exclude_self_citations=excl, normalized=False)
+        context = {"length": length, "exclude_self": excl}
+        for level, top_pct in itertools.product(["edge", "article"], [0.01, 0.3]):
+            got = region_tail_shares(corpus, cfg, top_pct=top_pct, citing_level=level).rows
+            want = oracle.region_tail_rows(t, length=length, top_pct=top_pct, citing_level=level, exclude_self=excl)
+            assert {(r["year"], r["region"]): r for r in got} == want, (context, level, top_pct)
+        want = oracle.top_share_rows(t, length=length, pcts=pcts, exclude_self=excl)
+        assert_rows_match(top_share_series(corpus, cfg, pcts).rows, want, context)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regional_corpora())
+def test_region_tails_and_top_shares_match_oracle_on_small_corpora(corpus):
+    check_tails_and_top_shares(corpus)
+
+
+def test_region_tails_and_top_shares_match_oracle_on_shuffled_rows(tmp_path):
+    params = synthgen.GenParams(span=(1990, 1997), articles_per_year=tuple([40] * 8),
+                                refs_per_article=tuple([3.0] * 8), self_citation_rate=0.1, seed=41)
+    ap, ep = tmp_path / "a.tsv", tmp_path / "e.tsv"
+    write_tables(synthgen.generate(params), str(ap), str(ep))
+    header, *rows = ap.read_text().splitlines(keepends=True)
+    np.random.default_rng(8).shuffle(rows)
+    ap.write_text(header + "".join(rows))
+    corpus = load_corpus_files(str(ap), str(ep), params.span)
+    assert list(corpus.ids) != sorted(corpus.ids)
+    check_tails_and_top_shares(corpus)

@@ -262,10 +262,10 @@ def text_streams(articles_text, edges_text):
 
 
 def assert_same_corpus(a, b):
-    for name in ("ids", "fields", "regions", "journals", "authors", "span", "drops", "rows_read"):
+    for name in ("fields", "regions", "journals", "authors", "span", "drops", "rows_read"):
         assert getattr(a, name) == getattr(b, name), name
     assert list(a.drops) == list(b.drops)
-    for name in ("pub_year", "field_code", "region_code", "journal_code", "author_ptr", "author_code",
+    for name in ("ids", "pub_year", "field_code", "region_code", "journal_code", "author_ptr", "author_code",
                  "citing", "cited", "self_edge"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name

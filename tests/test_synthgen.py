@@ -88,7 +88,7 @@ def test_first_distinct_matches_reference(case):
 def test_same_seed_identical_corpora():
     a = synthgen.generate(base_params())
     b = synthgen.generate(base_params())
-    assert a.ids == b.ids
+    assert list(a.ids) == list(b.ids)
     assert np.array_equal(a.pub_year, b.pub_year)
     assert np.array_equal(a.field_code, b.field_code)
     assert np.array_equal(a.region_code, b.region_code)

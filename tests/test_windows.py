@@ -9,7 +9,7 @@ from citeconc.windows import (
     eligible_pub_years_forward,
     in_window_edge_mask,
 )
-from conftest import id_index
+from conftest import id_index, make_corpus
 
 
 def fwd(length):
@@ -108,3 +108,13 @@ def test_exclude_self_never_increases(fixture_corpus):
             with_self = sum(citations_in_window(art, fwd(length), c).values())
             without = sum(citations_in_window(art, fwd(length), c, exclude_self=True).values())
             assert without <= with_self
+
+
+@pytest.mark.parametrize("gap", [127, 128, 300])
+def test_mask_reads_year_gaps_of_any_span(gap):
+    # A corpus whose years span under 128 keeps its year gaps in a byte each.
+    arts = f"id\tpub_year\tfield\tregion\tjournal_id\tauthor_ids\nA\t1700\tF\tR\tJ\t\nB\t{1700 + gap}\tF\tR\tJ\t\n"
+    c = make_corpus(arts, "citing_id\tcited_id\nB\tA\n", span=(1700, 1700 + gap))
+    assert c.year_gap.tolist() == [gap]
+    assert in_window_edge_mask(c, gap).tolist() == [True]
+    assert in_window_edge_mask(c, gap - 1).tolist() == [False]
