@@ -1,7 +1,7 @@
 """Citation-concentration analytics: corpus ingestion, citation windows,
 field/year normalization, inequality measures, and study pipelines."""
 
-from citeconc.concentration import Distribution, gini, top_share
+from citeconc.concentration import Distribution, LorenzCurve, gini, lorenz, top_share
 from citeconc.corpus import Corpus, filter_core_journals, load_corpus, write_tables
 from citeconc.windows import WindowSpec, cited_population_backward, eligible_pub_years_forward
 
@@ -10,12 +10,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus",
     "Distribution",
+    "LorenzCurve",
     "WindowSpec",
     "cited_population_backward",
     "eligible_pub_years_forward",
     "filter_core_journals",
     "gini",
     "load_corpus",
+    "lorenz",
     "top_share",
     "write_tables",
 ]

@@ -136,10 +136,14 @@ def cmd_analyze(config_path: str) -> int:
         for spec, reports in zip(run.studies, studies_mod.run_studies(corpus, run.studies)):
             for rep in reports:
                 files = []
-                for fmt, write in (("csv", report_mod.write_csv), ("json", report_mod.write_json)):
-                    if fmt in run.formats:
-                        write(rep, os.path.join(run.out_dir, f"{rep.study_id}.{fmt}"))
-                        files.append(f"{rep.study_id}.{fmt}")
+                if "csv" in run.formats:
+                    path = os.path.join(run.out_dir, f"{rep.study_id}.csv")
+                    report_mod.write_csv(rep, path)
+                    files.append(os.path.basename(path))
+                if "json" in run.formats:
+                    path = os.path.join(run.out_dir, f"{rep.study_id}.json")
+                    report_mod.write_json(rep, path)
+                    files.append(os.path.basename(path))
                 manifest.append({
                     "study": spec.name,
                     "id": rep.study_id,

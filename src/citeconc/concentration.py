@@ -1,5 +1,5 @@
-"""Inequality measures over non-negative score distributions: Gini coefficient
-and top-x% shares.
+"""Inequality measures over non-negative score distributions: Gini coefficient,
+Lorenz curves, and top-x% shares.
 
 The Gini here is the population version, G = sum_ij |x_i - x_j| / (2 n^2 mu),
 with no small-sample correction; zeros are genuine observations and are never
@@ -7,6 +7,8 @@ filtered here.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +32,11 @@ class Distribution:
         return float(self.values.sum())
 
 
+@dataclass(frozen=True)
+class LorenzCurve:
+    points: tuple[tuple[float, float], ...]  # (population share, value share), ascending
+
+
 def _check(d: Distribution) -> None:
     if len(d) == 0:
         raise ValueError("empty distribution")
@@ -45,6 +52,20 @@ def gini(d: Distribution) -> float:
     ranks = 2.0 * np.arange(1, n + 1) - n - 1
     # cancellation can leave a tiny negative value on constant inputs
     return max(0.0, float((ranks * x).sum() / (n * x.sum())))
+
+
+def lorenz(d: Distribution, points: int = 100) -> LorenzCurve:
+    """Lorenz curve sampled at `points` evenly spaced population shares plus endpoints."""
+    _check(d)
+    if points < 1:
+        raise ValueError("points must be >= 1")
+    x = np.sort(d.values)
+    n = len(x)
+    cum = np.concatenate([[0.0], np.cumsum(x)]) / x.sum()
+    pop = np.arange(n + 1) / n
+    ps = np.unique(np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, points)]))
+    ls = np.interp(ps, pop, cum)
+    return LorenzCurve(points=tuple((float(p), float(l)) for p, l in zip(ps, ls)))
 
 
 def top_share(d: Distribution, pct: float) -> float:

@@ -45,7 +45,6 @@ class Corpus:
     ascending order of author name, the order :func:`write_tables` emits.
     ``self_edge`` flags the edges whose two articles share an author; the
     builders compute it with ``_compute_self_edges`` and :meth:`subset` slices it.
-    ``year_gap`` is each edge's citing year less its cited year.
 
     Arrays are frozen after construction; every downstream operation treats the
     corpus as read-only, so unrestricted concurrent reads are safe.
@@ -93,13 +92,9 @@ class Corpus:
         self.rows_read = rows_read
         self.citing_year = self.pub_year[self.citing] if len(self.citing) else np.zeros(0, np.int32)
         self.cited_year = self.pub_year[self.cited] if len(self.cited) else np.zeros(0, np.int32)
-        self.year_gap = self.citing_year - self.cited_year
-        if len(self.pub_year) == 0 or np.ptp(self.pub_year) < 128:  # a byte per edge, not four
-            self.year_gap = self.year_gap.astype(np.int8)
         self.self_edge = np.asarray(self_edge, dtype=bool)
         for arr in (self.ids, self.pub_year, self.field_code, self.region_code, self.journal_code, self.author_ptr,
-                    self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.year_gap,
-                    self.self_edge):
+                    self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.self_edge):
             arr.flags.writeable = False
 
     @property

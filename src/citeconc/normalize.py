@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from citeconc.corpus import Corpus
+from citeconc.windows import WindowSpec, in_window_edge_mask
 
 RHO_SCOPE_STUDY = "study"
 RHO_SCOPE_ALL_EDGES = "all_edges"
@@ -43,21 +44,25 @@ def _rho_lookup(corpus: Corpus, weights: dict[int, float]) -> np.ndarray:
     return rho
 
 
-def ics_array(corpus: Corpus, mask: np.ndarray, *, exclude_self: bool, rho_scope: str) -> np.ndarray:
-    """Year-weighted citation score of every article over the in-window edges in ``mask``.
+def ics_array(corpus: Corpus, w: WindowSpec, *, exclude_self: bool, rho_scope: str,
+              mask: np.ndarray | None = None) -> np.ndarray:
+    """Year-weighted in-window citation score of every article in the corpus.
 
     Self-citations are left out of the counted citations when ``exclude_self``
-    is set (``mask`` then excludes them too), and also out of the year weights
-    unless ``rho_scope`` is ``all_edges``.
+    is set, and also out of the year weights unless ``rho_scope`` is
+    ``all_edges``. ``mask``, if given, is ``in_window_edge_mask`` of ``w`` and
+    ``exclude_self``, already computed.
     """
     rho = _rho_lookup(corpus, year_weights(corpus, exclude_self=exclude_self and rho_scope == RHO_SCOPE_STUDY))
+    if mask is None:
+        mask = in_window_edge_mask(corpus, w.length, exclude_self=exclude_self)
     wts = rho[corpus.citing_year[mask] - corpus.span[0]]
     counts = np.bincount(corpus.cited[mask], weights=wts, minlength=corpus.n_articles)
     return counts.astype(np.float64, copy=False)
 
 
-def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, exclude_self: bool,
-               mics_per_year: bool, rho_scope: str) -> np.ndarray:
+def nics_array(corpus: Corpus, cohort_idx: np.ndarray, w: WindowSpec, *, exclude_self: bool,
+               mics_per_year: bool, rho_scope: str, mask: np.ndarray | None = None) -> np.ndarray:
     """Field-normalized scores for the given cohort indices: each ics divided by
     the mean ics of its field in the cohort, or of its field and publication
     year when ``mics_per_year`` is set.
@@ -66,7 +71,7 @@ def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, excl
     """
     if len(cohort_idx) == 0:
         raise ValueError("empty cohort")
-    scores = ics_array(corpus, mask, exclude_self=exclude_self, rho_scope=rho_scope)[cohort_idx]
+    scores = ics_array(corpus, w, exclude_self=exclude_self, rho_scope=rho_scope, mask=mask)[cohort_idx]
     if mics_per_year:
         n_years = corpus.span[1] - corpus.span[0] + 1
         group = corpus.field_code[cohort_idx].astype(np.int64) * n_years + (corpus.pub_year[cohort_idx] - corpus.span[0])
@@ -79,17 +84,20 @@ def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, excl
     return np.divide(scores, denom, out=np.zeros_like(scores), where=denom > 0)
 
 
-def field_mean_reference_table(corpus: Corpus, mask: np.ndarray) -> np.ndarray:
-    """Mean outgoing reference count per (field, publication year) cell over the
-    in-window edges in ``mask``.
+def field_mean_reference_table(corpus: Corpus, length: int, exclude_self: bool = False,
+                               mask: np.ndarray | None = None) -> np.ndarray:
+    """Mean in-window outgoing reference count per (field, publication year) cell.
 
-    Shape (n_fields, span length); cells with no articles are 0.
+    Shape (n_fields, span length); cells with no articles are 0. ``mask``, if
+    given, is ``in_window_edge_mask`` of ``length`` and ``exclude_self``.
     """
     start, end = corpus.span
     n_years = end - start + 1
     n_fields = len(corpus.fields)
     art_group = corpus.field_code.astype(np.int64) * n_years + (corpus.pub_year - start)
     counts = np.bincount(art_group, minlength=n_fields * n_years)
+    if mask is None:
+        mask = in_window_edge_mask(corpus, length, exclude_self)
     refs = np.bincount(art_group[corpus.citing[mask]], minlength=n_fields * n_years)
     means = np.divide(refs, counts, out=np.zeros(n_fields * n_years), where=counts > 0)
     return means.reshape(n_fields, n_years)

@@ -7,10 +7,12 @@ year, the indices of its population, their raw in-window citation counts and
 their scores. A forward row is the publication-year cohort; a backward row is
 the population published in the W years before the reference year, scored by
 the references made in that year. Region removal reduces two tables, the corpus
-and its residual, to uncited shares. `run_studies` runs a battery grouped by
-`table_key`: each prepared corpus (core journals, a region removed), mask and
-table is built once, and a table's rows are streamed to every reducer that
-reads it before the next table is built; `gini_series` etc. run one study.
+and its residual, to uncited shares. Studies whose score tables share a key
+(their config less `include_uncited`, and less normalisation for raw-count
+series) read one table. `run_studies` runs a battery through the series
+functions (`gini_series` etc.) and one `Battery`: each prepared corpus (core
+journals, a region removed), mask and table is built once, and a table's rows
+are streamed to every reducer that reads it before the next table is built.
 
 Every series emits one row per candidate year; years that cannot be scored get
 a null metric and a reason code instead of being dropped, so emitted series
@@ -106,7 +108,7 @@ class StudyConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class StudySpec:
     """One study of a battery. ``name`` is its study id; None gives the type's default id."""
 
@@ -126,7 +128,7 @@ class SeriesReport:
     rows: list[dict[str, Any]] = field(default_factory=list)
 
 
-def table_key(cfg: StudyConfig, raw_counts: bool = False) -> StudyConfig:
+def _table_key(cfg: StudyConfig, raw_counts: bool = False) -> StudyConfig:
     """The score table a study of ``cfg`` reads; ``raw_counts`` for series that never normalise."""
     return replace(cfg, include_uncited=True, normalized=cfg.normalized and not raw_counts)
 
@@ -160,8 +162,8 @@ def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
         # Field means are summed over the pooled cohorts in ascending article order.
         pooled = np.sort(order[:at[len(years)]])
         if cfg.normalized and len(pooled):
-            scores[pooled] = nics_array(work, pooled, mask, exclude_self=cfg.exclude_self_citations,
-                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope)
+            scores[pooled] = nics_array(work, pooled, cfg.window, exclude_self=cfg.exclude_self_citations,
+                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope, mask=mask)
         for y in years:
             pop = order[at[y - start]:at[y - start + 1]]
             yield y, pop, raw[pop], scores[pop]
@@ -170,7 +172,7 @@ def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
     citing_year = work.citing_year[edges]
     edge_at = np.searchsorted(citing_year, np.arange(start, end + 2, dtype=citing_year.dtype))
     if cfg.normalized:
-        mref = field_mean_reference_table(work, mask)
+        mref = field_mean_reference_table(work, cfg.window.length, exclude_self=cfg.exclude_self_citations, mask=mask)
         weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
     # Reference years whose cited population lies inside the span, less the first with drop_earliest_population.
     years = [y for y in range(start, end + 1) if cited_population_backward(y, work.span, cfg.window) is not None]
@@ -282,9 +284,9 @@ def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tupl
     cfg, w, excl = spec.config, spec.config.window.length, spec.config.exclude_self_citations
     if spec.kind in FORWARD_ONLY and cfg.window.direction != FORWARD:
         raise ValueError("forward window required")
-    counts, combine = table_key(cfg, raw_counts=True), lambda rows: rows
+    counts, combine = _table_key(cfg, raw_counts=True), lambda rows: rows
     if spec.kind == "gini":
-        reads = [(table_key(cfg), (_gini_reducer, cfg.include_uncited))]
+        reads = [(_table_key(cfg), (_gini_reducer, cfg.include_uncited))]
         sid, config, columns = f"gini_{cfg.approach}_w{w}_{cfg.flags()}", cfg.echo(), GINI_COLUMNS
     elif spec.kind == "uncited":
         reads = [(counts, (_uncited_reducer,))]
@@ -298,44 +300,44 @@ def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tupl
     elif spec.kind == "region_tails":
         if spec.citing_level not in ("edge", "article"):
             raise ValueError("citing_level must be 'edge' or 'article'")
-        reads, sid = [(table_key(cfg), (_tails_reducer, spec.top_pct, spec.citing_level))], f"region_tails_w{w}"
+        reads, sid = [(_table_key(cfg), (_tails_reducer, spec.top_pct, spec.citing_level))], f"region_tails_w{w}"
         config = {"window.length": w, "exclude_self": excl, "top_pct": spec.top_pct, "citing_level": spec.citing_level}
         columns = ["year", "region", *TAIL_COLUMNS, "reason"]
     elif spec.kind == "region_removal":
-        reads = [(table_key(replace(cfg, region_removed=None), raw_counts=True), (_uncited_reducer,)),
+        reads = [(_table_key(replace(cfg, region_removed=None), raw_counts=True), (_uncited_reducer,)),
                  (counts, (_uncited_reducer,))]
         sid, combine = f"region_removal_{cfg.region_removed}_w{w}", _region_removal_rows
         config = {"region": cfg.region_removed, "window.length": w, "exclude_self": excl}
         columns = ["year", "baseline_share", "removed_share", "relative_change", "reason"]
     elif spec.kind == "gini_by_field":
         present = sorted((corpus.fields[c], c) for c in np.unique(corpus.field_code).tolist())
-        reads = [(table_key(replace(cfg, field_filter=None)),
+        reads = [(_table_key(replace(cfg, field_filter=None)),
                   (_field_gini_reducer, cfg.include_uncited, tuple(c for _, c in present)))]
         return reads, lambda rows: [
-            SeriesReport(f"{spec.name}_{f}" if spec.name else f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}",
-                         replace(cfg, field_filter=f).echo(), list(GINI_COLUMNS), rows[0][k::len(present)])
+            SeriesReport(f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}", replace(cfg, field_filter=f).echo(),
+                         list(GINI_COLUMNS), rows[0][k::len(present)])
             for k, (f, _) in enumerate(present)]
     else:
         raise ValueError(f"unknown study type {spec.kind!r}")
     return reads, lambda rows: [SeriesReport(spec.name or sid, config, list(columns), combine(*rows))]
 
 
-def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -> dict:
-    """The output rows of every read, or the ValueError its table raised. Tables are
-    grouped by prepared corpus, then by mask, each group in order of first use; each
-    table's rows are built one at a time and handed to all its reducers."""
+def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -> Iterator[dict]:
+    """Yields the output rows of every read, or the ValueError its table raised, a
+    table at a time. Tables are grouped by prepared corpus, then by mask, each group
+    in order of first use; each table's rows are built one at a time and handed to
+    all its reducers."""
     tree: dict = {}  # core_only -> region removed -> (W, exclude_self) -> table key -> reducers
     for key, reducer in reads:
         by_mask = tree.setdefault(key.core_only, {}).setdefault(key.region_removed, {})
         by_mask.setdefault((key.window.length, key.exclude_self_citations), {}).setdefault(key, {})[reducer] = None
-    out: dict = {}
     for core_only, by_region in tree.items():
         base = filter_core_journals(corpus) if core_only else corpus
         for region, by_mask in by_region.items():
             try:
                 work = base if region is None else _remove_region(base, region)
             except ValueError as e:
-                out.update(((key, r), e) for tables in by_mask.values() for key, rs in tables.items() for r in rs)
+                yield {(key, r): e for tables in by_mask.values() for key, rs in tables.items() for r in rs}
                 continue
             for (length, excl), tables in by_mask.items():
                 mask = in_window_edge_mask(work, length, excl)
@@ -348,52 +350,98 @@ def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -
                                 rows.extend(fn(*row))
                     except ValueError as e:
                         results = [e] * len(reducers)
-                    out.update(zip([(key, r) for r in reducers], results))
+                    yield dict(zip([(key, r) for r in reducers], results))
             del work, mask  # before the next prepared corpus is built
-    return out
+
+
+class Battery:
+    """The table reads of a battery of studies over one corpus, reduced on first
+    demand in the grouped order of :func:`_reduce_tables`: a study's series call
+    builds the tables it is the first to read, and any grouped ahead of them."""
+
+    def __init__(self, corpus: Corpus, specs: Sequence[StudySpec]):
+        reads = []
+        for spec in specs:
+            try:
+                reads += _plan(corpus, spec)[0]
+            except ValueError:
+                pass  # raised again in the study's turn
+        self._tables = _reduce_tables(corpus, reads)
+        self._out: dict = {}
+
+    def read(self, read: tuple[StudyConfig, tuple]) -> list[dict] | ValueError:
+        while read not in self._out:
+            step = next(self._tables, None)
+            if step is None:
+                raise KeyError("study not in this battery")
+            self._out.update(step)
+        return self._out[read]
+
+
+def _reports(corpus: Corpus, spec: StudySpec, battery: Battery | None) -> list[SeriesReport]:
+    reads, make = _plan(corpus, spec)
+    battery = battery or Battery(corpus, [spec])
+    got = [battery.read(read) for read in reads]
+    for error in (r for r in got if isinstance(r, ValueError)):
+        raise error
+    return make(got)
 
 
 def run_studies(corpus: Corpus, specs: Sequence[StudySpec]) -> Iterator[list[SeriesReport]]:
     """Run a battery, building each score table, mask and prepared corpus it reads
-    once; returns an iterator over each study's reports in the order of ``specs``,
-    where a study that cannot run raises its ValueError. Studies may share row dicts."""
-    plans: list = []
+    once: yields each study's reports, from its series function, in the order of
+    ``specs``; a study that cannot run raises its ValueError in its turn. Studies
+    may share row dicts."""
+    battery = Battery(corpus, specs)
     for spec in specs:
-        try:
-            plans.append(_plan(corpus, spec))
-        except ValueError as e:
-            plans.append(e)
-    rows = _reduce_tables(corpus, [read for plan in plans if not isinstance(plan, ValueError) for read in plan[0]])
-    return _in_turn(plans, rows)
+        yield _run_study(corpus, spec, battery)
 
 
-def _in_turn(plans: list, rows: dict) -> Iterator[list[SeriesReport]]:
-    for plan in plans:
-        got = [plan] if isinstance(plan, ValueError) else [rows[read] for read in plan[0]]
-        for error in (r for r in got if isinstance(r, ValueError)):
-            raise error
-        yield plan[1](got)
+def _run_study(corpus: Corpus, spec: StudySpec, battery: Battery) -> list[SeriesReport]:
+    cfg, sid = spec.config, spec.name
+    if spec.kind == "gini":
+        return [gini_series(corpus, cfg, sid, battery)]
+    if spec.kind == "uncited":
+        return [uncited_share_series(corpus, cfg, sid, battery)]
+    if spec.kind == "region_removal":
+        return [region_removal_uncitedness(corpus, cfg, sid, battery)]
+    if spec.kind == "region_tails":
+        return [region_tail_shares(corpus, cfg, spec.top_pct, spec.citing_level, sid, battery)]
+    if spec.kind == "top_shares":
+        return [top_share_series(corpus, cfg, list(spec.pcts), sid, battery)]
+    if spec.kind != "gini_by_field":
+        raise ValueError(f"unknown study type {spec.kind!r}")
+    reports = gini_by_field(corpus, cfg, battery)
+    for fld, rep in reports.items():
+        rep.study_id = f"{sid}_{fld}" if sid else rep.study_id
+    return list(reports.values())
 
 
-def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+# The series functions run one study; ``battery``, if given, is a Battery whose
+# specs include this study, and serves its tables.
+
+def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None,
+                battery: Battery | None = None) -> SeriesReport:
     """Per-year Gini of the configured score distribution."""
-    return next(run_studies(corpus, [StudySpec(study_id, "gini", cfg)]))[0]
+    return _reports(corpus, StudySpec(study_id, "gini", cfg), battery)[0]
 
 
-def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None,
+                         battery: Battery | None = None) -> SeriesReport:
     """Fraction of each publication-year cohort with zero in-window citations."""
-    return next(run_studies(corpus, [StudySpec(study_id, "uncited", cfg)]))[0]
+    return _reports(corpus, StudySpec(study_id, "uncited", cfg), battery)[0]
 
 
-def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
+def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None,
+                               battery: Battery | None = None) -> SeriesReport:
     """Relative change in per-year uncited share when the region
     `cfg.region_removed`'s articles and all their outgoing references are
     removed from the corpus."""
-    return next(run_studies(corpus, [StudySpec(study_id, "region_removal", cfg)]))[0]
+    return _reports(corpus, StudySpec(study_id, "region_removal", cfg), battery)[0]
 
 
 def region_tail_shares(corpus: Corpus, cfg: StudyConfig, top_pct: float = 0.01, citing_level: str = "edge",
-                       study_id: str | None = None) -> SeriesReport:
+                       study_id: str | None = None, battery: Battery | None = None) -> SeriesReport:
     """Per-year regional shares at the tails of the citation distribution.
 
     cited_low / cited_top: the region's share of single-cited articles and of
@@ -402,16 +450,17 @@ def region_tail_shares(corpus: Corpus, cfg: StudyConfig, top_pct: float = 0.01, 
     level) or of the distinct articles providing them ("article" level).
     """
     spec = StudySpec(study_id, "region_tails", cfg, top_pct=top_pct, citing_level=citing_level)
-    return next(run_studies(corpus, [spec]))[0]
+    return _reports(corpus, spec, battery)[0]
 
 
-def top_share_series(corpus: Corpus, cfg: StudyConfig, pcts: list[float], study_id: str | None = None) -> SeriesReport:
+def top_share_series(corpus: Corpus, cfg: StudyConfig, pcts: list[float], study_id: str | None = None,
+                     battery: Battery | None = None) -> SeriesReport:
     """Per-year share of raw in-window citations held by the top-x% articles."""
-    return next(run_studies(corpus, [StudySpec(study_id, "top_shares", cfg, pcts=tuple(pcts))]))[0]
+    return _reports(corpus, StudySpec(study_id, "top_shares", cfg, pcts=tuple(pcts)), battery)[0]
 
 
-def gini_by_field(corpus: Corpus, cfg: StudyConfig) -> dict[str, SeriesReport]:
+def gini_by_field(corpus: Corpus, cfg: StudyConfig, battery: Battery | None = None) -> dict[str, SeriesReport]:
     """gini_series restricted to each field present in the corpus: one table,
     each year's population split by field."""
-    reports = next(run_studies(corpus, [StudySpec(None, "gini_by_field", cfg)]))
+    reports = _reports(corpus, StudySpec(None, "gini_by_field", cfg), battery)
     return {rep.config["field_filter"]: rep for rep in reports}

@@ -52,7 +52,8 @@ def cited_population_backward(ref_year: int, span: tuple[int, int], w: WindowSpe
 
 def in_window_edge_mask(corpus: Corpus, length: int, exclude_self: bool = False) -> np.ndarray:
     """Boolean mask over corpus edges whose citing-to-cited year gap is in [1, length]."""
-    mask = (corpus.year_gap >= 1) & (corpus.year_gap <= length)
+    delta = corpus.citing_year - corpus.cited_year  # int32, as pub_year is
+    mask = (delta >= 1) & (delta <= length)
     if exclude_self:
         mask &= ~corpus.self_edge
     return mask

@@ -187,23 +187,6 @@ def gini(values: list[float]) -> float:
     return sum(abs(x - y) for x in values for y in values) / (2 * n * n * (sum(values) / n))
 
 
-def lorenz(values: list[float], points: int = 100) -> list[tuple[float, float]]:
-    """Lorenz curve of non-negative values with a positive sum: (population
-    share, value share) at `points` evenly spaced population shares and both
-    endpoints, interpolated linearly between the sorted values' cumulative shares."""
-    x = sorted(values)
-    n, total = len(x), sum(x)
-    cum = [0.0]
-    for v in x:
-        cum.append(cum[-1] + v)
-    shares = sorted({0.0, 1.0} | {k / (points - 1) for k in range(points) if points > 1})
-    curve = []
-    for p in shares:
-        k = min(int(p * n), n - 1)
-        curve.append((p, (cum[k] + (p * n - k) * x[k]) / total))
-    return curve
-
-
 def _base_row(year: int, raw: list[int], scores: list[float]) -> dict:
     return {
         "year": year,

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citeconc.concentration import Distribution, gini, top_share
-from oracle import lorenz
+from citeconc.concentration import Distribution, gini, lorenz, top_share
 
 
 def gini_pairwise(values):
@@ -91,24 +90,25 @@ def test_pigou_dalton_transfer(values, data):
 
 
 def test_lorenz_equal_values_diagonal():
-    curve = lorenz([3.0] * 10, points=11)
-    for p, l in curve:
+    curve = lorenz(Distribution([3.0] * 10), points=11)
+    for p, l in curve.points:
         assert l == pytest.approx(p, abs=1e-12)
 
 
 def test_lorenz_single_nonzero():
-    curve = lorenz([0, 0, 0, 1], points=5)
-    for p, l in curve:
+    curve = lorenz(Distribution([0, 0, 0, 1]), points=5)
+    for p, l in curve.points:
         if p <= 0.75:
             assert l == pytest.approx(0.0, abs=1e-12)
-    assert curve[-1] == (1.0, pytest.approx(1.0))
+    assert curve.points[-1] == (1.0, pytest.approx(1.0))
 
 
 def test_lorenz_matches_cumulative_sum_oracle():
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.exponential(size=int(rng.integers(2, 80)))
-        pts = lorenz(x.tolist(), points=40)
+        curve = lorenz(Distribution(x), points=40)
+        pts = curve.points
         assert pts[0] == (0.0, 0.0)
         assert pts[-1][0] == 1.0
         assert pts[-1][1] == pytest.approx(1.0, abs=1e-12)

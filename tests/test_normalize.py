@@ -15,14 +15,13 @@ def nics(cohort, w, corpus, exclude_self=False, mics_per_year=False, rho_scope="
     """The library's normalized score per article id of a cohort."""
     row = id_index(corpus)
     idx = np.asarray([row[a] for a in cohort], dtype=np.int64)
-    scores = nics_array(corpus, idx, in_window_edge_mask(corpus, w.length, exclude_self), exclude_self=exclude_self,
-                        mics_per_year=mics_per_year, rho_scope=rho_scope)
+    scores = nics_array(corpus, idx, w, exclude_self=exclude_self, mics_per_year=mics_per_year, rho_scope=rho_scope)
     return dict(zip(cohort, scores.tolist()))
 
 
 def field_mean_references(corpus, field, ref_year, w, exclude_self=False):
     """One cell of the library's field mean reference table."""
-    table = field_mean_reference_table(corpus, in_window_edge_mask(corpus, w.length, exclude_self))
+    table = field_mean_reference_table(corpus, w.length, exclude_self)
     return float(table[corpus.fields.index(field), ref_year - corpus.span[0]])
 
 
@@ -55,13 +54,16 @@ def test_year_weights_empty():
 
 def test_ics_fixture(fixture_corpus):
     c = fixture_corpus
-    scores = ics_array(c, in_window_edge_mask(c, FWD2.length), exclude_self=False, rho_scope="study")
+    scores = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
     row = id_index(c)
     # A: 1 cite in 2001 (rho 1.0) + 1 in 2002 (rho 0.5)
     assert scores[row["A"]] == pytest.approx(1.5)
     assert scores[row["B"]] == pytest.approx(0.5)
     assert scores[row["C"]] == pytest.approx(0.5)
     assert scores[row["D"]] == 0.0
+    # The mask a score table already holds gives the same scores.
+    masked = ics_array(c, FWD2, exclude_self=False, rho_scope="study", mask=in_window_edge_mask(c, 2))
+    assert masked.tolist() == scores.tolist()
 
 
 def test_nics_fixture_manual(fixture_corpus):
@@ -106,7 +108,7 @@ def test_nics_invariant_under_uniform_rho_scaling(fixture_corpus):
     cohort = ["A", "B", "C", "D"]
     base = {a: oracle.ics(t, a, 2, w) for a in cohort}
     scaled = {a: oracle.ics(t, a, 2, {y: 3.7 * v for y, v in w.items()}) for a in cohort}
-    library = ics_array(c, in_window_edge_mask(c, FWD2.length), exclude_self=False, rho_scope="study")
+    library = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
     row = id_index(c)
     assert base == pytest.approx({a: library[row[a]] for a in cohort}, rel=1e-12)
 

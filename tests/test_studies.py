@@ -376,13 +376,12 @@ def test_determinism_bitwise():
 def test_mean_nics_one_within_study_cohort():
     corpus = small_corpus()
     from citeconc.normalize import nics_array
-    from citeconc.windows import eligible_pub_years_forward, in_window_edge_mask
+    from citeconc.windows import eligible_pub_years_forward
 
     w = WindowSpec("forward", 3)
     years = list(eligible_pub_years_forward(corpus.span, w))
     idx = np.flatnonzero(np.isin(corpus.pub_year, years))
-    scores = nics_array(corpus, idx, in_window_edge_mask(corpus, w.length), exclude_self=False, mics_per_year=False,
-                        rho_scope="study")
+    scores = nics_array(corpus, idx, w, exclude_self=False, mics_per_year=False, rho_scope="study")
     for code in np.unique(corpus.field_code[idx]):
         members = scores[corpus.field_code[idx] == code]
         if members.sum() > 0:
