@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from citeconc.normalize import RHO_SCOPE_STUDY
-from citeconc.studies import CITATION_BASED, FORWARD_ONLY, REFERENCE_BASED, StudyConfig, StudySpec
+from citeconc.studies import CITATION_BASED, REFERENCE_BASED, StudyConfig, StudySpec
 from citeconc.windows import BACKWARD, FORWARD, WindowSpec
 
 
@@ -187,9 +187,6 @@ def _build_study(name: str, kind: str, scoped: dict[str, str]) -> StudySpec:
     elif direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"{name}.window.direction: must be forward or backward")
     length = _int(scoped.get("window.length", "5"), f"{name}.window.length")
-    citing_level = scoped.get("study.citing_level", "edge")
-    if citing_level not in ("edge", "article"):
-        raise ConfigError(f"{name}.study.citing_level: must be edge or article")
     try:
         cfg = StudyConfig(
             window=WindowSpec(direction, length),
@@ -205,17 +202,9 @@ def _build_study(name: str, kind: str, scoped: dict[str, str]) -> StudySpec:
             mics_per_year=_bool(scoped.get("normalize.mics_per_year", "false"), f"{name}.normalize.mics_per_year"),
             rho_scope=scoped.get("normalize.rho_scope", RHO_SCOPE_STUDY),
         )
+        pcts = tuple(_float(p, f"{name}.study.pcts") for p in scoped.get("study.pcts", "0.01,0.05,0.10").split(","))
+        top_pct = _float(scoped.get("study.top_pct", "0.01"), f"{name}.study.top_pct")
+        return StudySpec(name=name, kind=kind, config=cfg, pcts=pcts, top_pct=top_pct,
+                         citing_level=scoped.get("study.citing_level", "edge"))
     except ValueError as e:
         raise ConfigError(f"{name}: {e}") from None
-    if kind in FORWARD_ONLY and direction != FORWARD:
-        raise ConfigError(f"{name}: {kind} requires a forward window (study.approach = {CITATION_BASED})")
-    if kind == "region_removal" and cfg.region_removed is None:
-        raise ConfigError(f"{name}: region_removal requires regions.remove")
-    pcts = tuple(_float(p, f"{name}.study.pcts") for p in scoped.get("study.pcts", "0.01,0.05,0.10").split(","))
-    for p in pcts:
-        if not 0 < p <= 1:
-            raise ConfigError(f"{name}.study.pcts: values must lie in (0, 1]")
-    top_pct = _float(scoped.get("study.top_pct", "0.01"), f"{name}.study.top_pct")
-    if not 0 < top_pct <= 1:
-        raise ConfigError(f"{name}.study.top_pct: must lie in (0, 1]")
-    return StudySpec(name=name, kind=kind, config=cfg, pcts=pcts, top_pct=top_pct, citing_level=citing_level)

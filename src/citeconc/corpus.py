@@ -11,8 +11,8 @@ the one row parser: it holds the row, span and edge-drop rules that both
 
 Both hand it the files' bytes, which it parses column-wise with numpy (the byte
 path). Files with a ``"``, CR or NUL byte, invalid UTF-8 or any row that breaks
-a rule, and text streams, go through the ``csv`` reader instead, with the same
-results, errors and line numbers.
+a rule go through the ``csv`` reader instead, with the same results, errors and
+line numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import csv
 import io
 import itertools
 import sys
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -162,7 +162,7 @@ def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
     return out
 
 
-def _rows(source: Iterable[str] | IO[str], columns: list[str], name: str) -> Iterator[tuple[int, list[str]]]:
+def _rows(source: IO[str], columns: list[str], name: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, row) of each non-blank data row of a TSV stream whose header
     and row widths match ``columns``. The line number is the physical line on
     which the row starts, though a quoted field may span lines; a row the csv
@@ -184,8 +184,7 @@ def _rows(source: Iterable[str] | IO[str], columns: list[str], name: str) -> Ite
         raise DataError(f"{name} line {lineno}: {e}") from None
 
 
-def _read_csv(articles_source: Iterable[str] | IO[str], edges_source: Iterable[str] | IO[str],
-              start: int, end: int) -> dict:
+def _read_csv(articles_source: IO[str], edges_source: IO[str], start: int, end: int) -> dict:
     """The csv path of :func:`read_tables`: the per-row rules, and every error they raise."""
     index: dict[str, int] = {}  # every id read -> its retained row, or -1 if out of span
     ids: list[str] = []
@@ -524,11 +523,7 @@ def _read_bytes(articles: bytes, edges: bytes, start: int, end: int) -> dict | N
     )
 
 
-def read_tables(
-    articles_source: bytes | Iterable[str] | IO[str],
-    edges_source: bytes | Iterable[str] | IO[str],
-    span: tuple[int, int] | None,
-) -> dict:
+def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> dict:
     """Parse article and edge TSV tables into coded columns: the one row parser.
 
     Malformed rows (wrong column count, bad year, empty field) and duplicate
@@ -537,9 +532,8 @@ def read_tables(
     this precedence, as self_loop, dangling (an endpoint not retained),
     future_dated (cites a later year) and duplicate_edge (first copy kept).
 
-    Tables given as the UTF-8 bytes of both files take the byte path; where it
-    declines, and for text streams, the csv module reads them. Both paths give
-    equal results.
+    The tables are the UTF-8 bytes of both files. The byte path reads them; where
+    it declines, the csv module does. Both paths give equal results.
 
     Returns the :class:`Corpus` keyword arguments ``ids``, ``pub_year``, the
     field/region/journal codes and labels, ``citing``, ``cited``, ``drops`` and
@@ -550,14 +544,10 @@ def read_tables(
     start, end = (int(span[0]), int(span[1])) if span is not None else (-sys.maxsize, sys.maxsize)
     if start > end:
         raise ValueError(f"invalid span {span}")
-    tables = None
-    if isinstance(articles_source, bytes) and isinstance(edges_source, bytes):
-        tables = _read_bytes(articles_source, edges_source, start, end)
-        if tables is None:
-            articles_source, edges_source = (io.TextIOWrapper(io.BytesIO(b), encoding="utf-8", newline="")
-                                             for b in (articles_source, edges_source))
+    tables = _read_bytes(articles, edges, start, end)
     if tables is None:
-        tables = _read_csv(articles_source, edges_source, start, end)
+        texts = (io.TextIOWrapper(io.BytesIO(b), encoding="utf-8", newline="") for b in (articles, edges))
+        tables = _read_csv(*texts, start, end)
 
     pub_year, citing, cited = tables["pub_year"], tables.pop("citing"), tables.pop("cited")
     self_loops, art_rows = tables.pop("self_loops"), tables.pop("art_rows")
@@ -625,14 +615,10 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     return author_ptr, author_code, [names[r] for r in by_code.tolist()]
 
 
-def load_corpus(
-    articles_source: bytes | Iterable[str] | IO[str],
-    edges_source: bytes | Iterable[str] | IO[str],
-    span: tuple[int, int],
-) -> Corpus:
-    """Read article and edge TSV tables into an indexed corpus: :func:`read_tables`,
-    then each article's distinct authors coded in name order, and self-citations."""
-    tables = read_tables(articles_source, edges_source, span)
+def load_corpus(articles: bytes, edges: bytes, span: tuple[int, int]) -> Corpus:
+    """Read article and edge TSV tables, the UTF-8 bytes of both files, into an indexed corpus:
+    :func:`read_tables`, then each article's distinct authors coded in name order, and self-citations."""
+    tables = read_tables(articles, edges, span)
     author_ptr, author_code, authors = _code_authors(*tables.pop("author_fields"))
     return Corpus(
         **tables,

@@ -9,10 +9,10 @@ the population published in the W years before the reference year, scored by
 the references made in that year. Region removal reduces two tables, the corpus
 and its residual, to uncited shares. Studies whose score tables share a key
 (their config less `include_uncited`, and less normalisation for raw-count
-series) read one table. `run_studies` runs a battery through the series
-functions (`gini_series` etc.) and one `Battery`: each prepared corpus (core
-journals, a region removed), mask and table is built once, and a table's rows
-are streamed to every reducer that reads it before the next table is built.
+series) read one table. `run_studies` runs a battery: it plans each study once,
+builds each prepared corpus (core journals, a region removed), mask and table
+once, and streams a table's rows to every reducer that reads it before the next
+table is built. Each series function (`gini_series` etc.) runs a battery of one.
 
 Every series emits one row per candidate year; years that cannot be scored get
 a null metric and a reason code instead of being dropped, so emitted series
@@ -119,6 +119,16 @@ class StudySpec:
     top_pct: float = 0.01
     citing_level: str = "edge"
 
+    def __post_init__(self):
+        if self.kind in FORWARD_ONLY and self.config.window.direction != FORWARD:
+            raise ValueError(f"{self.kind} requires a forward window (study.approach = {CITATION_BASED})")
+        if self.kind == "region_removal" and self.config.region_removed is None:
+            raise ValueError("region_removal requires regions.remove")
+        if self.citing_level not in ("edge", "article"):
+            raise ValueError(f"citing_level must be edge or article, got {self.citing_level!r}")
+        if not all(0 < p <= 1 for p in (*self.pcts, self.top_pct)):
+            raise ValueError(f"pcts and top_pct must lie in (0, 1], got {list(self.pcts)} and {self.top_pct}")
+
 
 @dataclass
 class SeriesReport:
@@ -207,7 +217,7 @@ def _gini_row(year: int, raw: np.ndarray, scores: np.ndarray, include_uncited: b
     if row["reason"] is None and included.sum() <= 0:
         row["reason"] = REASON_ZERO_TOTAL
     elif row["reason"] is None:
-        row["gini"] = concentration.gini(concentration.Distribution(included))
+        row["gini"] = concentration.gini(included)
     return row
 
 
@@ -236,8 +246,7 @@ def _top_reducer(work: Corpus, mask: np.ndarray, pcts: tuple[float, ...]) -> Cal
         if row["reason"] is None and vals.sum() == 0:
             row["reason"] = REASON_ZERO_TOTAL
         elif row["reason"] is None:
-            d = concentration.Distribution(vals)
-            row.update((f"top_{p:g}", concentration.top_share(d, p)) for p in pcts)
+            row.update((f"top_{p:g}", concentration.top_share(vals, p)) for p in pcts)
         return [row]
     return reduce
 
@@ -282,8 +291,6 @@ def _region_removal_rows(base: list[dict], removed: list[dict]) -> list[dict]:
 def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tuple]], Callable]:
     """A study's reads (table key, then reducer and parameters) and its report maker over their rows."""
     cfg, w, excl = spec.config, spec.config.window.length, spec.config.exclude_self_citations
-    if spec.kind in FORWARD_ONLY and cfg.window.direction != FORWARD:
-        raise ValueError("forward window required")
     counts, combine = _table_key(cfg, raw_counts=True), lambda rows: rows
     if spec.kind == "gini":
         reads = [(_table_key(cfg), (_gini_reducer, cfg.include_uncited))]
@@ -298,8 +305,6 @@ def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tupl
         config = {"window.length": w, "pcts": list(spec.pcts), "exclude_self": excl}
         columns = ["year", "n", "zero_count", *(f"top_{p:g}" for p in spec.pcts), "mean_raw_citations", "reason"]
     elif spec.kind == "region_tails":
-        if spec.citing_level not in ("edge", "article"):
-            raise ValueError("citing_level must be 'edge' or 'article'")
         reads, sid = [(_table_key(cfg), (_tails_reducer, spec.top_pct, spec.citing_level))], f"region_tails_w{w}"
         config = {"window.length": w, "exclude_self": excl, "top_pct": spec.top_pct, "citing_level": spec.citing_level}
         columns = ["year", "region", *TAIL_COLUMNS, "reason"]
@@ -314,8 +319,8 @@ def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tupl
         reads = [(_table_key(replace(cfg, field_filter=None)),
                   (_field_gini_reducer, cfg.include_uncited, tuple(c for _, c in present)))]
         return reads, lambda rows: [
-            SeriesReport(f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}", replace(cfg, field_filter=f).echo(),
-                         list(GINI_COLUMNS), rows[0][k::len(present)])
+            SeriesReport(f"{spec.name}_{f}" if spec.name else f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}",
+                         replace(cfg, field_filter=f).echo(), list(GINI_COLUMNS), rows[0][k::len(present)])
             for k, (f, _) in enumerate(present)]
     else:
         raise ValueError(f"unknown study type {spec.kind!r}")
@@ -354,94 +359,49 @@ def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -
             del work, mask  # before the next prepared corpus is built
 
 
-class Battery:
-    """The table reads of a battery of studies over one corpus, reduced on first
-    demand in the grouped order of :func:`_reduce_tables`: a study's series call
-    builds the tables it is the first to read, and any grouped ahead of them."""
-
-    def __init__(self, corpus: Corpus, specs: Sequence[StudySpec]):
-        reads = []
-        for spec in specs:
-            try:
-                reads += _plan(corpus, spec)[0]
-            except ValueError:
-                pass  # raised again in the study's turn
-        self._tables = _reduce_tables(corpus, reads)
-        self._out: dict = {}
-
-    def read(self, read: tuple[StudyConfig, tuple]) -> list[dict] | ValueError:
-        while read not in self._out:
-            step = next(self._tables, None)
-            if step is None:
-                raise KeyError("study not in this battery")
-            self._out.update(step)
-        return self._out[read]
-
-
-def _reports(corpus: Corpus, spec: StudySpec, battery: Battery | None) -> list[SeriesReport]:
-    reads, make = _plan(corpus, spec)
-    battery = battery or Battery(corpus, [spec])
-    got = [battery.read(read) for read in reads]
-    for error in (r for r in got if isinstance(r, ValueError)):
-        raise error
-    return make(got)
-
-
 def run_studies(corpus: Corpus, specs: Sequence[StudySpec]) -> Iterator[list[SeriesReport]]:
-    """Run a battery, building each score table, mask and prepared corpus it reads
-    once: yields each study's reports, from its series function, in the order of
-    ``specs``; a study that cannot run raises its ValueError in its turn. Studies
-    may share row dicts."""
-    battery = Battery(corpus, specs)
+    """Yields the reports of each study of ``specs`` in turn, building each prepared corpus, mask
+    and score table the battery reads once, no later than the turn of the first study that reads
+    it. A study that cannot run raises its ValueError in its turn; studies may share row dicts."""
+    plans: list = []
     for spec in specs:
-        yield _run_study(corpus, spec, battery)
+        try:
+            plans.append(_plan(corpus, spec))
+        except ValueError as e:
+            plans.append(e)  # raised in the study's turn
+    tables = _reduce_tables(corpus, [read for plan in plans if not isinstance(plan, ValueError) for read in plan[0]])
+    out: dict = {}
+    for plan in plans:
+        if isinstance(plan, ValueError):
+            raise plan
+        reads, make = plan
+        while not all(read in out for read in reads):
+            out.update(next(tables))
+        got = [out[read] for read in reads]
+        for error in (r for r in got if isinstance(r, ValueError)):
+            raise error
+        yield make(got)
 
 
-def _run_study(corpus: Corpus, spec: StudySpec, battery: Battery) -> list[SeriesReport]:
-    cfg, sid = spec.config, spec.name
-    if spec.kind == "gini":
-        return [gini_series(corpus, cfg, sid, battery)]
-    if spec.kind == "uncited":
-        return [uncited_share_series(corpus, cfg, sid, battery)]
-    if spec.kind == "region_removal":
-        return [region_removal_uncitedness(corpus, cfg, sid, battery)]
-    if spec.kind == "region_tails":
-        return [region_tail_shares(corpus, cfg, spec.top_pct, spec.citing_level, sid, battery)]
-    if spec.kind == "top_shares":
-        return [top_share_series(corpus, cfg, list(spec.pcts), sid, battery)]
-    if spec.kind != "gini_by_field":
-        raise ValueError(f"unknown study type {spec.kind!r}")
-    reports = gini_by_field(corpus, cfg, battery)
-    for fld, rep in reports.items():
-        rep.study_id = f"{sid}_{fld}" if sid else rep.study_id
-    return list(reports.values())
-
-
-# The series functions run one study; ``battery``, if given, is a Battery whose
-# specs include this study, and serves its tables.
-
-def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None,
-                battery: Battery | None = None) -> SeriesReport:
+def gini_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
     """Per-year Gini of the configured score distribution."""
-    return _reports(corpus, StudySpec(study_id, "gini", cfg), battery)[0]
+    return next(run_studies(corpus, [StudySpec(study_id, "gini", cfg)]))[0]
 
 
-def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None,
-                         battery: Battery | None = None) -> SeriesReport:
+def uncited_share_series(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
     """Fraction of each publication-year cohort with zero in-window citations."""
-    return _reports(corpus, StudySpec(study_id, "uncited", cfg), battery)[0]
+    return next(run_studies(corpus, [StudySpec(study_id, "uncited", cfg)]))[0]
 
 
-def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None,
-                               battery: Battery | None = None) -> SeriesReport:
+def region_removal_uncitedness(corpus: Corpus, cfg: StudyConfig, study_id: str | None = None) -> SeriesReport:
     """Relative change in per-year uncited share when the region
     `cfg.region_removed`'s articles and all their outgoing references are
     removed from the corpus."""
-    return _reports(corpus, StudySpec(study_id, "region_removal", cfg), battery)[0]
+    return next(run_studies(corpus, [StudySpec(study_id, "region_removal", cfg)]))[0]
 
 
 def region_tail_shares(corpus: Corpus, cfg: StudyConfig, top_pct: float = 0.01, citing_level: str = "edge",
-                       study_id: str | None = None, battery: Battery | None = None) -> SeriesReport:
+                       study_id: str | None = None) -> SeriesReport:
     """Per-year regional shares at the tails of the citation distribution.
 
     cited_low / cited_top: the region's share of single-cited articles and of
@@ -450,17 +410,16 @@ def region_tail_shares(corpus: Corpus, cfg: StudyConfig, top_pct: float = 0.01, 
     level) or of the distinct articles providing them ("article" level).
     """
     spec = StudySpec(study_id, "region_tails", cfg, top_pct=top_pct, citing_level=citing_level)
-    return _reports(corpus, spec, battery)[0]
+    return next(run_studies(corpus, [spec]))[0]
 
 
-def top_share_series(corpus: Corpus, cfg: StudyConfig, pcts: list[float], study_id: str | None = None,
-                     battery: Battery | None = None) -> SeriesReport:
+def top_share_series(corpus: Corpus, cfg: StudyConfig, pcts: list[float], study_id: str | None = None) -> SeriesReport:
     """Per-year share of raw in-window citations held by the top-x% articles."""
-    return _reports(corpus, StudySpec(study_id, "top_shares", cfg, pcts=tuple(pcts)), battery)[0]
+    return next(run_studies(corpus, [StudySpec(study_id, "top_shares", cfg, pcts=tuple(pcts))]))[0]
 
 
-def gini_by_field(corpus: Corpus, cfg: StudyConfig, battery: Battery | None = None) -> dict[str, SeriesReport]:
+def gini_by_field(corpus: Corpus, cfg: StudyConfig) -> dict[str, SeriesReport]:
     """gini_series restricted to each field present in the corpus: one table,
     each year's population split by field."""
-    reports = _reports(corpus, StudySpec(None, "gini_by_field", cfg), battery)
+    reports = next(run_studies(corpus, [StudySpec(None, "gini_by_field", cfg)]))
     return {rep.config["field_filter"]: rep for rep in reports}

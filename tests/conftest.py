@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from citeconc.corpus import load_corpus
@@ -32,7 +30,7 @@ def id_index(corpus) -> dict[str, int]:
 
 
 def make_corpus(articles: str = ARTICLES_TSV, edges: str = EDGES_TSV, span=(2000, 2004)):
-    return load_corpus(io.StringIO(articles), io.StringIO(edges), span)
+    return load_corpus(articles.encode(), edges.encode(), span)
 
 
 @pytest.fixture

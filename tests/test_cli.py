@@ -332,6 +332,21 @@ def test_analyze_region_removal_without_region_fails_before_compute(tmp_path, ca
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("region_tails", "u5.study.top_pct = 1.5\n"),
+    ("region_tails", "u5.study.citing_level = cited\n"),
+    ("top_shares", "u5.study.pcts = 0.01,0\n"),
+])
+def test_analyze_invalid_study_parameter_fails_before_compute(tmp_path, capsys, kind, extra):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(analyze_config(out_dir, extra=extra).replace("u5.type = uncited", f"u5.type = {kind}"))
+    assert main(["analyze", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: u5: " in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("extra", [
     "u5.study.field = nonexistent\n",
     "u5.regions.remove = nowhere\n",
@@ -418,3 +433,18 @@ def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, mon
     assert len(subsets) == len(set(subsets)) == 6  # the core-journal corpus and five residuals
     # CSV cells are written with repr(): a numpy scalar would show as np.float64(...).
     assert not any("np." in p.read_text() for p in (tmp_path / "out").glob("*.csv"))
+
+
+def test_analyze_data_error_in_a_study_stops_in_its_turn(tmp_path, capsys):
+    # b removes a region the corpus lacks: an error only compute finds. The study
+    # before it is written, the one after it and the manifest are not.
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(
+        "corpus.scenario = stationary\n" + GEN_OVERRIDES + f"output.dir = {out_dir}\n"
+        "studies = a b c\na.type = gini\nb.type = region_removal\nb.regions.remove = Atlantis\nc.type = uncited\n"
+    )
+    assert main(["analyze", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "unknown region" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.csv", "a.json"]

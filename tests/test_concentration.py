@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citeconc.concentration import Distribution, gini, lorenz, top_share
+from citeconc.concentration import gini, top_share
 
 
 def gini_pairwise(values):
@@ -19,20 +19,22 @@ positive_vectors = st.lists(
 
 
 def test_gini_perfect_equality():
-    assert gini(Distribution([1, 1, 1, 1])) == 0.0
+    assert gini([1, 1, 1, 1]) == 0.0
 
 
 def test_gini_single_nonzero():
-    assert gini(Distribution([0, 0, 0, 1])) == 0.75
+    assert gini([0, 0, 0, 1]) == 0.75
 
 
 def test_gini_errors():
     with pytest.raises(ValueError, match="empty"):
-        gini(Distribution([]))
+        gini([])
     with pytest.raises(ValueError, match="zero mean"):
-        gini(Distribution([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        Distribution([-1.0, 2.0])
+        gini([0.0, 0.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        gini([-1.0, 2.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        gini(np.ones((2, 2)))
 
 
 def test_gini_matches_pairwise_oracle():
@@ -43,7 +45,7 @@ def test_gini_matches_pairwise_oracle():
         x[rng.random(n) < 0.3] = 0.0
         if x.sum() == 0:
             x[0] = 1.0
-        assert gini(Distribution(x)) == pytest.approx(gini_pairwise(x), abs=1e-12)
+        assert gini(x) == pytest.approx(gini_pairwise(x), abs=1e-12)
 
 
 @given(positive_vectors, st.floats(min_value=1e-3, max_value=1e3))
@@ -53,23 +55,23 @@ def test_gini_scale_invariance(values, c):
     x = np.asarray(values)
     if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to an all-zero vector
         with pytest.raises(ValueError, match="zero mean"):
-            gini(Distribution(c * x))
+            gini(c * x)
         return
-    assert gini(Distribution(c * x)) == pytest.approx(gini(Distribution(x)), abs=1e-9)
+    assert gini(c * x) == pytest.approx(gini(x), abs=1e-9)
 
 
 @given(positive_vectors)
 @settings(max_examples=200, deadline=None)
 def test_gini_bounds(values):
-    g = gini(Distribution(values))
+    g = gini(values)
     assert 0 <= g < 1
 
 
 @given(positive_vectors)
 @settings(max_examples=200, deadline=None)
 def test_zero_padding_strictly_increases_gini(values):
-    g0 = gini(Distribution(values))
-    g1 = gini(Distribution(values + [0.0]))
+    g0 = gini(values)
+    g1 = gini(values + [0.0])
     assert g1 > g0
 
 
@@ -86,59 +88,32 @@ def test_pigou_dalton_transfer(values, data):
     y = list(x)
     y[i] += eps
     y[j] -= eps
-    assert gini(Distribution(y)) <= gini(Distribution(x)) + 1e-12
-
-
-def test_lorenz_equal_values_diagonal():
-    curve = lorenz(Distribution([3.0] * 10), points=11)
-    for p, l in curve.points:
-        assert l == pytest.approx(p, abs=1e-12)
-
-
-def test_lorenz_single_nonzero():
-    curve = lorenz(Distribution([0, 0, 0, 1]), points=5)
-    for p, l in curve.points:
-        if p <= 0.75:
-            assert l == pytest.approx(0.0, abs=1e-12)
-    assert curve.points[-1] == (1.0, pytest.approx(1.0))
-
-
-def test_lorenz_matches_cumulative_sum_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = rng.exponential(size=int(rng.integers(2, 80)))
-        curve = lorenz(Distribution(x), points=40)
-        pts = curve.points
-        assert pts[0] == (0.0, 0.0)
-        assert pts[-1][0] == 1.0
-        assert pts[-1][1] == pytest.approx(1.0, abs=1e-12)
-        xs = np.sort(x)
-        cum = np.cumsum(xs) / xs.sum()
-        for p, l in pts:
-            k = int(np.floor(p * len(xs) + 1e-12))
-            low = cum[k - 1] if k >= 1 else 0.0
-            high = cum[k] if k < len(xs) else 1.0
-            assert low - 1e-9 <= l <= high + 1e-9
-        # monotone and below the diagonal
-        ls = [l for _, l in pts]
-        assert all(b >= a - 1e-12 for a, b in zip(ls, ls[1:]))
-        assert all(l <= p + 1e-12 for p, l in pts)
+    assert gini(y) <= gini(x) + 1e-12
 
 
 def test_top_share_equal_values():
-    assert top_share(Distribution([5.0] * 10), 0.10) == pytest.approx(0.10)
+    assert top_share([5.0] * 10, 0.10) == pytest.approx(0.10)
 
 
 def test_top_share_single_nonzero():
     x = np.zeros(100)
     x[17] = 4.0
-    assert top_share(Distribution(x), 0.01) == 1.0
+    assert top_share(x, 0.01) == 1.0
 
 
 def test_top_share_full_population_exact():
     rng = np.random.default_rng(9)
     x = rng.exponential(size=37)
-    assert top_share(Distribution(x), 1.0) == 1.0
+    assert top_share(x, 1.0) == 1.0
+
+
+def test_top_share_errors():
+    with pytest.raises(ValueError, match="pct"):
+        top_share([1.0, 2.0], 0.0)
+    with pytest.raises(ValueError, match="pct"):
+        top_share([1.0, 2.0], 1.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        top_share([-1.0, 2.0], 0.5)
 
 
 def test_top_share_matches_sort_oracle():
@@ -149,15 +124,14 @@ def test_top_share_matches_sort_oracle():
         pct = float(rng.uniform(0.005, 1.0))
         k = int(np.ceil(pct * n))
         expected = float(np.sort(x)[::-1][:k].sum() / x.sum())
-        assert top_share(Distribution(x), pct) == pytest.approx(expected, abs=1e-12)
+        assert top_share(x, pct) == pytest.approx(expected, abs=1e-12)
 
 
 @given(positive_vectors, st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 @settings(max_examples=200, deadline=None)
 def test_top_share_monotone_in_pct(values, p1, p2):
     lo, hi = sorted((p1, p2))
-    d = Distribution(values)
-    assert top_share(d, lo) <= top_share(d, hi) + 1e-12
+    assert top_share(values, lo) <= top_share(values, hi) + 1e-12
 
 
 @given(positive_vectors, st.floats(min_value=1e-3, max_value=1e3), st.floats(0.05, 1.0))
@@ -167,6 +141,6 @@ def test_top_share_scale_invariance(values, c, pct):
     x = np.asarray(values)
     if (c * x).sum() <= 0:  # scaling can underflow subnormal inputs to an all-zero vector
         with pytest.raises(ValueError, match="zero mean"):
-            top_share(Distribution(c * x), pct)
+            top_share(c * x, pct)
         return
-    assert top_share(Distribution(c * x), pct) == pytest.approx(top_share(Distribution(x), pct), abs=1e-9)
+    assert top_share(c * x, pct) == pytest.approx(top_share(x, pct), abs=1e-9)

@@ -7,8 +7,8 @@ repeated author lists, rows outside the span, every edge drop reason and at
 most one malformed row. Line numbers are the physical lines rows start on.
 
 The byte path of ``read_tables`` is checked against its csv path and the same
-reference on tables it reads, and against the text-file reader on each kind
-of table it declines.
+reference on tables it reads, and against the csv path on each kind of table
+it declines.
 """
 
 import contextlib
@@ -156,6 +156,12 @@ def table_records(t):
              "author_ids": author_bytes[author_lo[i]:author_hi[i]].decode()} for i in range(len(t["ids"]))]
 
 
+def by_csv(read, articles, edges, span):
+    """``read`` (read_tables or load_corpus) of the tables' bytes, with the byte path declined."""
+    with mock.patch.object(corpus_mod, "_read_bytes", return_value=None):
+        return read(articles, edges, span)
+
+
 def run_validate(articles_text, edges_text, span):
     with tempfile.TemporaryDirectory() as d:
         paths = [os.path.join(d, "articles.tsv"), os.path.join(d, "edges.tsv")]
@@ -192,12 +198,12 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
         kept, edges, drops, rows_read = reference_read(articles_text, edges_text, span)
     except Rejected as where:
         with pytest.raises(DataError) as exc:
-            read_tables(io.StringIO(articles_text, newline=""), io.StringIO(edges_text, newline=""), span)
+            by_csv(read_tables, articles_text.encode(), edges_text.encode(), span)
         assert rejected_at(exc.value) == where.args
         assert (rc, out, err) == (2, "", f"error: {exc.value}\n")
         return
 
-    t = read_tables(io.StringIO(articles_text, newline=""), io.StringIO(edges_text, newline=""), span)
+    t = by_csv(read_tables, articles_text.encode(), edges_text.encode(), span)
     assert table_records(t) == kept
     for labels, column in (("fields", "field"), ("regions", "region"), ("journals", "journal_id")):
         assert t[labels] == list(dict.fromkeys(rec[column] for rec in kept))  # codes in order of first use
@@ -216,7 +222,7 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
     }
     if span is None:
         return
-    c = load_corpus(io.StringIO(articles_text, newline=""), io.StringIO(edges_text, newline=""), span)
+    c = by_csv(load_corpus, articles_text.encode(), edges_text.encode(), span)
     assert (c.n_articles, c.n_edges) == (report["articles retained"], report["edges retained"])
     assert list(c.drops.items()) == report["drops"]
     assert c.rows_read == (report["articles read"], report["edges read"])
@@ -257,10 +263,6 @@ def clean_tables(draw):
     return render(ARTICLE_HEADER, articles), render(EDGE_HEADER, edges)
 
 
-def text_streams(articles_text, edges_text):
-    return io.StringIO(articles_text, newline=""), io.StringIO(edges_text, newline="")
-
-
 def assert_same_corpus(a, b):
     for name in ("fields", "regions", "journals", "authors", "span", "drops", "rows_read"):
         assert getattr(a, name) == getattr(b, name), name
@@ -282,20 +284,21 @@ def test_byte_path_matches_the_csv_path_and_the_reference(tables, span, edge_pie
         by_bytes = read_tables(*data, span)
         if span is not None:
             by_bytes_corpus = load_corpus(*data, span)
-    by_csv = read_tables(*text_streams(*tables), span)
+    by_csv_path = by_csv(read_tables, *data, span)
     kept, edges, drops, rows_read = reference_read(articles_text, edges_text, span)
-    assert table_records(by_bytes) == table_records(by_csv) == kept
+    assert table_records(by_bytes) == table_records(by_csv_path) == kept
     for labels in ("fields", "regions", "journals"):
-        assert by_bytes[labels] == by_csv[labels]
+        assert by_bytes[labels] == by_csv_path[labels]
     for name in ("pub_year", "field_code", "region_code", "journal_code", "citing", "cited"):
-        assert by_bytes[name].dtype == by_csv[name].dtype and np.array_equal(by_bytes[name], by_csv[name]), name
+        x, y = by_bytes[name], by_csv_path[name]
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert [(by_bytes["ids"][i], by_bytes["ids"][j]) for i, j in zip(by_bytes["citing"].tolist(),
                                                                       by_bytes["cited"].tolist())] == edges
-    assert list(by_bytes["drops"].items()) == list(by_csv["drops"].items()) == list(drops.items())
-    assert by_bytes["rows_read"] == by_csv["rows_read"] == rows_read
+    assert list(by_bytes["drops"].items()) == list(by_csv_path["drops"].items()) == list(drops.items())
+    assert by_bytes["rows_read"] == by_csv_path["rows_read"] == rows_read
     if span is not None:
         c = by_bytes_corpus
-        assert_same_corpus(c, load_corpus(*text_streams(*tables), span))
+        assert_same_corpus(c, by_csv(load_corpus, *data, span))
         records_by_id = oracle.read(c).articles
         for rec in kept:
             assert records_by_id[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}
@@ -343,23 +346,18 @@ def outcome(read):
 
 @pytest.mark.parametrize("case", list(DECLINED))
 @pytest.mark.parametrize("span", [None, (2000, 2001)])
-def test_byte_path_declines_what_the_csv_reader_reads_otherwise(tmp_path, case, span):
+def test_byte_path_declines_what_the_csv_reader_reads_otherwise(case, span):
     data = [t if isinstance(t, bytes) else t.encode() for t in DECLINED[case]]
     bounds = span or (-sys.maxsize, sys.maxsize)
     assert corpus_mod._read_bytes(*data, *bounds) is None
-    paths = [tmp_path / "articles.tsv", tmp_path / "edges.tsv"]
-    for path, b in zip(paths, data):
-        path.write_bytes(b)
-    with open(paths[0], encoding="utf-8", newline="") as fa, open(paths[1], encoding="utf-8", newline="") as fe:
-        from_text = outcome(lambda: read_tables(fa, fe, span))  # how files were read before the byte path
-    assert outcome(lambda: read_tables(*data, span)) == from_text
+    assert outcome(lambda: read_tables(*data, span)) == outcome(lambda: by_csv(read_tables, *data, span))
 
 
 def test_duplicate_edges_keep_the_first_copy():
     articles = BASE_ARTICLES + "C\t2001\tF\tR\tJ\t\n"
     edges = "\t".join(EDGE_HEADER) + "\nB\tA\nC\tA\nB\tA\nC\tB\nC\tA\n"
-    for tables in ((articles.encode(), edges.encode()), text_streams(articles, edges)):
-        t = read_tables(*tables, None)
+    for read in (read_tables, lambda *tables: by_csv(read_tables, *tables)):
+        t = read(articles.encode(), edges.encode(), None)
         pairs = [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
         assert pairs == [("B", "A"), ("C", "A"), ("C", "B")]
         assert t["drops"]["duplicate_edge"] == 2

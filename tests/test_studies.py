@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 import oracle
 from citeconc import synthgen
 from citeconc.corpus import load_corpus_files, write_tables
-from citeconc.concentration import Distribution
 from citeconc.studies import (
     StudyConfig,
+    StudySpec,
     gini_by_field,
     gini_series,
     region_removal_uncitedness,
     region_tail_shares,
+    run_studies,
     top_share_series,
     uncited_share_series,
 )
@@ -213,6 +215,34 @@ def test_region_removal_errors():
         ART_HEADER + "A\t2000\tF\tOnly\tJ\t\n", EDGE_HEADER, span=(2000, 2001))
     with pytest.raises(ValueError, match="empty residual"):
         region_removal_uncitedness(single, StudyConfig(window=WindowSpec("forward", 1), region_removed="Only"))
+
+
+FORWARD = StudyConfig(window=WindowSpec("forward", 2))
+BACKWARD = StudyConfig(window=WindowSpec("backward", 2), approach="reference_based", region_removed="RegA")
+FORWARD_ONLY_KINDS = ("uncited", "region_removal", "region_tails", "top_shares")
+
+
+@pytest.mark.parametrize("kind, cfg, params, match", [
+    *((kind, BACKWARD, {}, "requires a forward window") for kind in FORWARD_ONLY_KINDS),
+    ("region_removal", FORWARD, {}, "requires regions.remove"),
+    ("region_tails", FORWARD, {"citing_level": "cited"}, "citing_level"),
+    ("top_shares", FORWARD, {"pcts": (0.01, 0.0)}, r"\(0, 1\]"),
+    ("top_shares", FORWARD, {"pcts": (1.5,)}, r"\(0, 1\]"),
+    ("region_tails", FORWARD, {"top_pct": 0.0}, r"\(0, 1\]"),
+    ("region_tails", FORWARD, {"top_pct": 1.5}, r"\(0, 1\]"),
+])
+def test_invalid_study_spec_raises(kind, cfg, params, match):
+    with pytest.raises(ValueError, match=match):
+        StudySpec("s", kind, cfg, **params)
+
+
+def test_run_studies_raises_a_study_error_in_its_turn():
+    removal = StudySpec("b", "region_removal", replace(FORWARD, region_removed="Atlantis"))
+    reports = run_studies(small_corpus(), [StudySpec("a", "gini", FORWARD), removal,
+                                           StudySpec("c", "uncited", FORWARD)])
+    assert [rep.study_id for rep in next(reports)] == ["a"]
+    with pytest.raises(ValueError, match="unknown region"):
+        next(reports)
 
 
 def test_region_removal_zero_article_region_is_noop():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from citeconc import synthgen
-from citeconc.concentration import Distribution, gini
+from citeconc.concentration import gini
 from citeconc.synthgen import GenParams, geometric_schedule, linear_schedule
 
 
@@ -165,7 +165,7 @@ def test_preferential_attachment_concentrates_citations():
         mask = (c.citing_year - c.cited_year >= 1) & (c.citing_year - c.cited_year <= 5)
         deg = np.bincount(c.cited[mask], minlength=c.n_articles)
         cohort = np.flatnonzero(c.pub_year <= c.span[1] - 5)
-        return gini(Distribution(deg[cohort]))
+        return gini(deg[cohort])
 
     assert indeg_gini(pa) > indeg_gini(uniform) + 0.05
 
