@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from citeconc import corpus as corpus_mod
 from citeconc import report as report_mod
 from citeconc import studies as studies_mod
 from citeconc import synthgen
-from citeconc.config import ConfigError, RunConfig, build_run, parse_config
+from citeconc.config import ConfigError, build_run, parse_config
 from citeconc.corpus import DataError
 
 EXIT_OK = 0
@@ -83,30 +82,6 @@ def cmd_validate(articles_path: str, edges_path: str, span: tuple[int, int] | No
     return EXIT_OK
 
 
-def _gen_params(run: RunConfig) -> synthgen.GenParams:
-    params = synthgen.scenario(run.scenario)
-    ov = run.gen_overrides
-    if ov.keys() - {"gen.seed"}:  # a span or schedule override: rebuild both schedules
-        start = int(ov.get("gen.span.start", params.span[0]))
-        end = int(ov.get("gen.span.end", params.span[1]))
-        n = end - start + 1
-        a0 = int(ov.get("gen.articles.start", params.articles_per_year[0]))
-        a1 = int(ov.get("gen.articles.end", params.articles_per_year[-1]))
-        r0 = float(ov.get("gen.refs.start", params.refs_per_article[0]))
-        r1 = float(ov.get("gen.refs.end", params.refs_per_article[-1]))
-        params = replace(
-            params,
-            span=(start, end),
-            articles_per_year=tuple(int(round(v)) for v in synthgen.linear_schedule(a0, a1, n)),
-            refs_per_article=synthgen.linear_schedule(r0, r1, n),
-        )
-    if "gen.seed" in ov:
-        params = replace(params, seed=int(ov["gen.seed"]))
-    elif run.seed is not None:
-        params = replace(params, seed=run.seed)
-    return params
-
-
 def cmd_analyze(config_path: str) -> int:
     try:
         with open(config_path, encoding="utf-8") as f:
@@ -119,8 +94,8 @@ def cmd_analyze(config_path: str) -> int:
         return EXIT_USAGE
 
     try:
-        if run.scenario is not None:
-            corpus = synthgen.generate(_gen_params(run))
+        if run.gen is not None:
+            corpus = synthgen.generate(run.gen)
         else:
             corpus = corpus_mod.load_corpus_files(run.articles_path, run.edges_path, run.span)
     except (OSError, DataError, UnicodeDecodeError) as e:

@@ -22,10 +22,11 @@ name declared in `studies`, e.g.::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from citeconc import synthgen
 from citeconc.normalize import RHO_SCOPE_STUDY
-from citeconc.studies import CITATION_BASED, REFERENCE_BASED, StudyConfig, StudySpec
+from citeconc.studies import CITATION_BASED, StudyConfig, StudySpec
 from citeconc.windows import BACKWARD, FORWARD, WindowSpec
 
 
@@ -69,13 +70,11 @@ DEFAULTABLE = STUDY_KEYS - {"type"}
 class RunConfig:
     articles_path: str | None
     edges_path: str | None
-    scenario: str | None
+    gen: synthgen.GenParams | None  # the generator's parameters with corpus.scenario, else None
     span: tuple[int, int] | None
-    seed: int | None
     out_dir: str
     formats: tuple[str, ...]
     studies: list[StudySpec] = field(default_factory=list)
-    gen_overrides: dict[str, str] = field(default_factory=dict)
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -149,15 +148,17 @@ def build_run(raw: dict[str, str]) -> RunConfig:
         if f not in ("csv", "json"):
             raise ConfigError(f"output.formats: unknown format {f!r}")
 
+    gen_keys = sorted(k for k in raw if k == "seed" or k.startswith("gen."))
+    if has_files and gen_keys:
+        raise ConfigError(f"{gen_keys[0]}: only read with corpus.scenario")
+
     run = RunConfig(
         articles_path=raw.get("corpus.articles"),
         edges_path=raw.get("corpus.edges"),
-        scenario=raw.get("corpus.scenario"),
+        gen=_generator(raw) if has_scenario else None,
         span=span,
-        seed=_int(raw["seed"], "seed") if "seed" in raw else None,
         out_dir=raw.get("output.dir", "."),
         formats=formats,
-        gen_overrides={k: v for k, v in raw.items() if k.startswith("gen.")},
     )
 
     if not study_names:
@@ -177,15 +178,38 @@ def build_run(raw: dict[str, str]) -> RunConfig:
     return run
 
 
+def _generator(raw: dict[str, str]) -> synthgen.GenParams:
+    """The ``corpus.scenario`` preset with the ``gen.*`` and ``seed`` overrides (``gen.seed`` first)."""
+    def get(key, parse, default):
+        return parse(raw[key], key) if key in raw else default
+
+    try:
+        params = synthgen.scenario(raw["corpus.scenario"])
+    except ValueError as e:
+        raise ConfigError(f"corpus.scenario: {e}") from None
+    params = replace(params, seed=get("gen.seed", _int, get("seed", _int, params.seed)))
+    if not any(k.startswith("gen.") and k != "gen.seed" for k in raw):
+        return params
+    # A span or schedule override: rebuild both schedules.
+    start, end = get("gen.span.start", _int, params.span[0]), get("gen.span.end", _int, params.span[1])
+    if end < start:
+        raise ConfigError(f"gen.span.end: {end} is before gen.span.start {start}")
+    n = end - start + 1
+    a0 = get("gen.articles.start", _int, params.articles_per_year[0])
+    a1 = get("gen.articles.end", _int, params.articles_per_year[-1])
+    r0 = get("gen.refs.start", _float, params.refs_per_article[0])
+    r1 = get("gen.refs.end", _float, params.refs_per_article[-1])
+    try:
+        return replace(params, span=(start, end),
+                       articles_per_year=tuple(int(round(v)) for v in synthgen.linear_schedule(a0, a1, n)),
+                       refs_per_article=synthgen.linear_schedule(r0, r1, n))
+    except ValueError as e:  # a negative schedule
+        raise ConfigError(f"gen.articles/gen.refs: {e}") from None
+
+
 def _build_study(name: str, kind: str, scoped: dict[str, str]) -> StudySpec:
     approach = scoped.get("study.approach", CITATION_BASED)
-    if approach not in (CITATION_BASED, REFERENCE_BASED):
-        raise ConfigError(f"{name}.study.approach: unknown approach {approach!r}")
-    direction = scoped.get("window.direction")
-    if direction is None:
-        direction = FORWARD if approach == CITATION_BASED else BACKWARD
-    elif direction not in (FORWARD, BACKWARD):
-        raise ConfigError(f"{name}.window.direction: must be forward or backward")
+    direction = scoped.get("window.direction", FORWARD if approach == CITATION_BASED else BACKWARD)
     length = _int(scoped.get("window.length", "5"), f"{name}.window.length")
     try:
         cfg = StudyConfig(

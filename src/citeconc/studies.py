@@ -2,17 +2,20 @@
 backward approaches, uncitedness series, region-removal counterfactuals,
 regional tail shares, and top-x% share series.
 
-Every series is a reducer over a score table, one row per study year: the
-year, the indices of its population, their raw in-window citation counts and
-their scores. A forward row is the publication-year cohort; a backward row is
-the population published in the W years before the reference year, scored by
-the references made in that year. Region removal reduces two tables, the corpus
-and its residual, to uncited shares. Studies whose score tables share a key
-(their config less `include_uncited`, and less normalisation for raw-count
-series) read one table. `run_studies` runs a battery: it plans each study once,
-builds each prepared corpus (core journals, a region removed), mask and table
-once, and streams a table's rows to every reducer that reads it before the next
-table is built. Each series function (`gini_series` etc.) runs a battery of one.
+Every series is a reducer over a score table, one row per study year: the year,
+the indices of its population, their raw in-window citation counts and their
+scores. A forward row is the publication-year cohort; a backward row is the
+population published in the W years before the reference year, scored by the
+references made in that year. Region removal reduces two tables, the corpus and
+its residual, to uncited shares. A table is keyed by what sets its rows: the
+prepared corpus, window, self-citation rule, approach and normalisation
+parameters. Uncited articles, normalised or raw scores, a field and the earliest
+population are each study's reading of the rows; a table is normalised only if a
+reader reads normalised scores. `run_studies` runs a battery: it plans each
+study once, builds each prepared corpus (core journals, a region removed), mask
+and table once, and streams a table's rows to every reducer that reads it before
+the next table is built. Each series function (`gini_series` etc.) runs a
+battery of one.
 
 Every series emits one row per candidate year; years that cannot be scored get
 a null metric and a reason code instead of being dropped, so emitted series
@@ -124,6 +127,8 @@ class StudySpec:
             raise ValueError(f"{self.kind} requires a forward window (study.approach = {CITATION_BASED})")
         if self.kind == "region_removal" and self.config.region_removed is None:
             raise ValueError("region_removal requires regions.remove")
+        if self.kind != "gini" and self.config.field_filter is not None:
+            raise ValueError(f"only gini studies read a field, not {self.kind}")
         if self.citing_level not in ("edge", "article"):
             raise ValueError(f"citing_level must be edge or article, got {self.citing_level!r}")
         if not all(0 < p <= 1 for p in (*self.pcts, self.top_pct)):
@@ -138,9 +143,9 @@ class SeriesReport:
     rows: list[dict[str, Any]] = field(default_factory=list)
 
 
-def _table_key(cfg: StudyConfig, raw_counts: bool = False) -> StudyConfig:
-    """The score table a study of ``cfg`` reads; ``raw_counts`` for series that never normalise."""
-    return replace(cfg, include_uncited=True, normalized=cfg.normalized and not raw_counts)
+def _table_key(cfg: StudyConfig) -> StudyConfig:
+    """The score table a study of ``cfg`` reads: ``cfg`` less the flags that only choose what it reads."""
+    return replace(cfg, include_uncited=True, normalized=False, field_filter=None, drop_earliest_population=False)
 
 
 def _remove_region(work: Corpus, region: str) -> Corpus:
@@ -154,13 +159,9 @@ def _remove_region(work: Corpus, region: str) -> Corpus:
 
 def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
     """The rows of the score table ``cfg`` over the prepared corpus ``work`` whose
-    in-window edges are ``mask``. Each population is the configured field's
-    articles of its years, in ascending index order within a year."""
+    in-window edges are ``mask``. Each population is the articles of its years,
+    in ascending index order within a year."""
     order = np.argsort(work.pub_year, kind="stable")
-    if cfg.field_filter is not None:
-        if cfg.field_filter not in work.fields:
-            raise ValueError(f"unknown field {cfg.field_filter!r}")
-        order = order[work.field_code[order] == work.fields.index(cfg.field_filter)]
     edges = np.flatnonzero(mask)
     start, end = work.span
     # Articles published in [a, b) are order[at[a - start]:at[b - start]].
@@ -184,18 +185,15 @@ def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
     if cfg.normalized:
         mref = field_mean_reference_table(work, cfg.window.length, exclude_self=cfg.exclude_self_citations, mask=mask)
         weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
-    # Reference years whose cited population lies inside the span, less the first with drop_earliest_population.
-    years = [y for y in range(start, end + 1) if cited_population_backward(y, work.span, cfg.window) is not None]
-    for y in years[1:] if cfg.drop_earliest_population else years:
+    for y in range(start, end + 1):
         pub = cited_population_backward(y, work.span, cfg.window)
+        if pub is None:  # the cited population leaves the span
+            continue
         pop = order[at[pub.start - start]:at[pub.stop - start]]
         lo, hi = edge_at[y - start], edge_at[y - start + 1]
         cited = work.cited[edges[lo:hi]]
         raw = np.bincount(cited, minlength=work.n_articles)[pop]
-        if cfg.normalized:
-            scores = np.bincount(cited, weights=weights[lo:hi], minlength=work.n_articles)[pop]
-        else:
-            scores = raw.astype(np.float64)
+        scores = np.bincount(cited, weights=weights[lo:hi], minlength=work.n_articles)[pop] if cfg.normalized else raw
         yield y, pop, raw, scores
 
 
@@ -221,18 +219,15 @@ def _gini_row(year: int, raw: np.ndarray, scores: np.ndarray, include_uncited: b
     return row
 
 
-# Reducers: a reducer is called with the prepared corpus, its in-window edge mask
-# and its own parameters, and returns the function from a table row to output rows.
+# Reducers: a read's reducer is (factory, normalized, *params). The factory is called with the
+# prepared corpus, its in-window edge mask and params, and returns the function from a table row
+# to output rows; the row's last column is the scores if ``normalized`` is set, else the raw counts.
 
-def _gini_reducer(work: Corpus, mask: np.ndarray, include_uncited: bool) -> Callable[..., list[dict]]:
-    return lambda y, pop, raw, scores: [_gini_row(y, raw, scores, include_uncited)]
-
-
-def _field_gini_reducer(work: Corpus, mask: np.ndarray, include_uncited: bool,
-                        codes: tuple[int, ...]) -> Callable[..., list[dict]]:
-    """One Gini row per field code in ``codes``: the year's population split by field."""
-    return lambda y, pop, raw, scores: [_gini_row(y, raw[member], scores[member], include_uncited)
-                                        for member in work.field_code[pop] == np.asarray(codes)[:, None]]
+def _gini_reducer(work: Corpus, mask: np.ndarray, include_uncited: bool,
+                  codes: tuple[int, ...] | None) -> Callable[..., list[dict]]:
+    """A Gini row per field code in ``codes`` (the year's population split by field), or one if None."""
+    return lambda y, pop, raw, vals: [_gini_row(y, raw[m], vals[m], include_uncited) for m in (
+        [slice(None)] if codes is None else work.field_code[pop] == np.asarray(codes)[:, None])]
 
 
 def _uncited_reducer(work: Corpus, mask: np.ndarray) -> Callable[..., list[dict]]:
@@ -242,11 +237,11 @@ def _uncited_reducer(work: Corpus, mask: np.ndarray) -> Callable[..., list[dict]
 
 def _top_reducer(work: Corpus, mask: np.ndarray, pcts: tuple[float, ...]) -> Callable[..., list[dict]]:
     def reduce(y, pop, raw, vals):
-        row = _row(y, raw, vals, **{f"top_{p:g}": None for p in pcts})
-        if row["reason"] is None and vals.sum() == 0:
+        row = _row(y, raw, raw, **{f"top_{p:g}": None for p in pcts})
+        if row["reason"] is None and raw.sum() == 0:
             row["reason"] = REASON_ZERO_TOTAL
         elif row["reason"] is None:
-            row.update((f"top_{p:g}", concentration.top_share(vals, p)) for p in pcts)
+            row.update((f"top_{p:g}", concentration.top_share(raw, p)) for p in pcts)
         return [row]
     return reduce
 
@@ -264,10 +259,10 @@ def _tails_reducer(work: Corpus, mask: np.ndarray, top_pct: float, citing_level:
         counts = np.bincount(work.region_code[article_idx], minlength=nreg)
         return (counts / counts.sum()).tolist() if len(article_idx) else [None] * nreg
 
-    def reduce(y, cohort, raw, scores):
+    def reduce(y, cohort, raw, vals):
         year_edges = edges[edge_at[y - start]:edge_at[y - start + 1]]
         single = cohort[raw == 1]
-        top = cohort[np.lexsort((work.ids[cohort], -scores))[:math.ceil(top_pct * len(cohort))]]
+        top = cohort[np.lexsort((work.ids[cohort], -vals))[:math.ceil(top_pct * len(cohort))]]
         cols = [shares(single), shares(top)]
         for group in (single, top):
             citing = work.citing[year_edges[np.isin(work.cited[year_edges], group)]]
@@ -289,39 +284,43 @@ def _region_removal_rows(base: list[dict], removed: list[dict]) -> list[dict]:
 
 
 def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tuple]], Callable]:
-    """A study's reads (table key, then reducer and parameters) and its report maker over their rows."""
+    """A study's reads (table key, then reducer) and its report maker over their rows."""
     cfg, w, excl = spec.config, spec.config.window.length, spec.config.exclude_self_citations
-    counts, combine = _table_key(cfg, raw_counts=True), lambda rows: rows
-    if spec.kind == "gini":
-        reads = [(_table_key(cfg), (_gini_reducer, cfg.include_uncited))]
-        sid, config, columns = f"gini_{cfg.approach}_w{w}_{cfg.flags()}", cfg.echo(), GINI_COLUMNS
+    key, combine = _table_key(cfg), lambda rows: rows
+    if spec.kind in ("gini", "gini_by_field"):
+        if spec.kind == "gini_by_field":
+            fields = sorted(corpus.fields[c] for c in np.unique(corpus.field_code).tolist())
+            sids = [f"{spec.name}_{f}" if spec.name else f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}"
+                    for f in fields]
+        elif cfg.field_filter not in (None, *corpus.fields):
+            raise ValueError(f"unknown field {cfg.field_filter!r}")
+        else:
+            fields, sids = [cfg.field_filter], [spec.name or f"gini_{cfg.approach}_w{w}_{cfg.flags()}"]
+        codes = None if fields == [None] else tuple(corpus.fields.index(f) for f in fields)
+        reads = [(key, (_gini_reducer, cfg.normalized, cfg.include_uncited, codes))]
+        # A year has a row per field; drop_earliest_population drops the first reference year's.
+        skip = len(fields) if cfg.approach == REFERENCE_BASED and cfg.drop_earliest_population else 0
+        return reads, lambda rows: [
+            SeriesReport(sid, replace(cfg, field_filter=f).echo(), list(GINI_COLUMNS), rows[0][skip + k::len(fields)])
+            for k, (sid, f) in enumerate(zip(sids, fields))]
     elif spec.kind == "uncited":
-        reads = [(counts, (_uncited_reducer,))]
+        reads = [(key, (_uncited_reducer, False))]
         sid = f"uncited_citation_based_w{w}_{'s' if excl else ''}{'c' if cfg.core_only else ''}"
         config = {"window.length": w, "exclude_self": excl, "core_only": cfg.core_only}
         columns = ["year", "n", "zero_count", "uncited_share", "mean_raw_citations", "reason"]
     elif spec.kind == "top_shares":
-        reads, sid = [(counts, (_top_reducer, tuple(spec.pcts)))], f"top_shares_w{w}"
+        reads, sid = [(key, (_top_reducer, False, tuple(spec.pcts)))], f"top_shares_w{w}"
         config = {"window.length": w, "pcts": list(spec.pcts), "exclude_self": excl}
         columns = ["year", "n", "zero_count", *(f"top_{p:g}" for p in spec.pcts), "mean_raw_citations", "reason"]
     elif spec.kind == "region_tails":
-        reads, sid = [(_table_key(cfg), (_tails_reducer, spec.top_pct, spec.citing_level))], f"region_tails_w{w}"
+        reads, sid = [(key, (_tails_reducer, cfg.normalized, spec.top_pct, spec.citing_level))], f"region_tails_w{w}"
         config = {"window.length": w, "exclude_self": excl, "top_pct": spec.top_pct, "citing_level": spec.citing_level}
         columns = ["year", "region", *TAIL_COLUMNS, "reason"]
     elif spec.kind == "region_removal":
-        reads = [(_table_key(replace(cfg, region_removed=None), raw_counts=True), (_uncited_reducer,)),
-                 (counts, (_uncited_reducer,))]
+        reads = [(k, (_uncited_reducer, False)) for k in (_table_key(replace(cfg, region_removed=None)), key)]
         sid, combine = f"region_removal_{cfg.region_removed}_w{w}", _region_removal_rows
         config = {"region": cfg.region_removed, "window.length": w, "exclude_self": excl}
         columns = ["year", "baseline_share", "removed_share", "relative_change", "reason"]
-    elif spec.kind == "gini_by_field":
-        present = sorted((corpus.fields[c], c) for c in np.unique(corpus.field_code).tolist())
-        reads = [(_table_key(replace(cfg, field_filter=None)),
-                  (_field_gini_reducer, cfg.include_uncited, tuple(c for _, c in present)))]
-        return reads, lambda rows: [
-            SeriesReport(f"{spec.name}_{f}" if spec.name else f"gini_field_{f}_{cfg.approach}_w{w}_{cfg.flags()}",
-                         replace(cfg, field_filter=f).echo(), list(GINI_COLUMNS), rows[0][k::len(present)])
-            for k, (f, _) in enumerate(present)]
     else:
         raise ValueError(f"unknown study type {spec.kind!r}")
     return reads, lambda rows: [SeriesReport(spec.name or sid, config, list(columns), combine(*rows))]
@@ -330,8 +329,8 @@ def _plan(corpus: Corpus, spec: StudySpec) -> tuple[list[tuple[StudyConfig, tupl
 def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -> Iterator[dict]:
     """Yields the output rows of every read, or the ValueError its table raised, a
     table at a time. Tables are grouped by prepared corpus, then by mask, each group
-    in order of first use; each table's rows are built one at a time and handed to
-    all its reducers."""
+    in order of first use; each table's rows are built one at a time, normalised only
+    if a reducer reads the scores, and handed to all its reducers."""
     tree: dict = {}  # core_only -> region removed -> (W, exclude_self) -> table key -> reducers
     for key, reducer in reads:
         by_mask = tree.setdefault(key.core_only, {}).setdefault(key.region_removed, {})
@@ -348,11 +347,11 @@ def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -
                 mask = in_window_edge_mask(work, length, excl)
                 for key, reducers in tables.items():
                     try:
-                        fns = [fn(work, mask, *params) for fn, *params in reducers]
+                        fns = [(normalized, fn(work, mask, *params)) for fn, normalized, *params in reducers]
                         results: list = [[] for _ in fns]
-                        for row in _rows(work, mask, key):
-                            for fn, rows in zip(fns, results):
-                                rows.extend(fn(*row))
+                        for y, pop, raw, scores in _rows(work, mask, replace(key, normalized=any(n for n, _ in fns))):
+                            for (normalized, fn), rows in zip(fns, results):
+                                rows.extend(fn(y, pop, raw, scores if normalized else raw))
                     except ValueError as e:
                         results = [e] * len(reducers)
                     yield dict(zip([(key, r) for r in reducers], results))

@@ -1,6 +1,6 @@
 """First-principles reference for citation windows, normalisation and the
-per-year Gini, uncited-share, top-share and regional-tail series, written as
-plain loops over dicts and lists.
+per-year Gini, uncited-share, region-removal, top-share and regional-tail
+series, written as plain loops over dicts and lists.
 
 It reads a corpus only through its columns (ids, publication years, labels,
 the author CSR and the edge list) and shares nothing with the library: it
@@ -199,10 +199,16 @@ def _base_row(year: int, raw: list[int], scores: list[float]) -> dict:
 
 def gini_rows(t: Tables, *, approach: str, length: int, include_uncited: bool = True, exclude_self: bool = False,
               core_only: bool = False, normalized: bool = True, mics_per_year: bool = False,
-              rho_scope: str = "study", drop_earliest_population: bool = False) -> list[dict]:
-    """One row per study year: year, n, zero_count, gini, mean_raw_citations, reason."""
+              rho_scope: str = "study", drop_earliest_population: bool = False,
+              field: str | None = None) -> list[dict]:
+    """One row per study year: year, n, zero_count, gini, mean_raw_citations, reason.
+    With `field`, each population is its articles of that field; an article's
+    score is the same either way."""
+    if field is not None and all(rec.field != field for rec in t.articles.values()):
+        raise ValueError(f"unknown field {field!r}")
     if core_only:
         t = core_journals(t)
+    in_field = {a for a, rec in t.articles.items() if field in (None, rec.field)}
     start, end = t.span
     edges = counted_edges(t, length, exclude_self)
     populations = []  # (year, population, {article: raw count}, {article: score})
@@ -216,17 +222,17 @@ def gini_rows(t: Tables, *, approach: str, length: int, include_uncited: bool = 
         if normalized and pooled:
             scores.update(nics(t, pooled, length, exclude_self, mics_per_year, rho_scope))
         for y in years:
-            pop = [a for a in t.articles if t.year(a) == y]
+            pop = [a for a in t.articles if t.year(a) == y and a in in_field]
             populations.append((y, pop, raw, scores))
     else:
         years = [y for y in range(start, end + 1) if cited_population(y, t.span, length) is not None]
         if drop_earliest_population:
             years = years[1:]
         for y in years:
-            pop = [a for a in t.articles if t.year(a) in cited_population(y, t.span, length)]
+            pop = [a for a in t.articles if t.year(a) in cited_population(y, t.span, length) and a in in_field]
             raw = {a: 0 for a in pop}
             for src, dst in edges:
-                if t.year(src) == y:
+                if t.year(src) == y and dst in raw:
                     raw[dst] += 1
             if normalized:
                 scores = {a: normalized_reference_count(t, a, y, length, exclude_self) for a in pop}
@@ -259,6 +265,29 @@ def uncited_rows(t: Tables, *, length: int, exclude_self: bool = False, core_onl
         if raw:
             row["uncited_share"] = row["zero_count"] / len(raw)
         rows.append(row)
+    return rows
+
+
+def region_removal_rows(t: Tables, *, region: str, length: int, exclude_self: bool = False,
+                        core_only: bool = False) -> list[dict]:
+    """One row per eligible publication year: the uncited share of its cohort
+    (baseline_share), the same once `region`'s articles and every edge to or
+    from them are removed (removed_share), and relative_change, their difference
+    over the baseline; null with a reason when either cohort is empty or the
+    baseline is 0. With `core_only` both corpora keep only core journals."""
+    if core_only:
+        t = core_journals(t)
+    kept = {a: rec for a, rec in t.articles.items() if rec.region != region}
+    if not kept:
+        raise ValueError("empty residual corpus")
+    residual = Tables(t.span, kept, [(s, d) for s, d in t.edges if s in kept and d in kept])
+    rows = []
+    for base, removed in zip(uncited_rows(t, length=length, exclude_self=exclude_self),
+                             uncited_rows(residual, length=length, exclude_self=exclude_self)):
+        before, after = base["uncited_share"], removed["uncited_share"]
+        reason = base["reason"] or removed["reason"] or ("zero_baseline" if before == 0 else None)
+        rows.append({"year": base["year"], "baseline_share": before, "removed_share": after,
+                     "relative_change": None if reason else (after - before) / before, "reason": reason})
     return rows
 
 

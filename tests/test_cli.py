@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from citeconc import normalize, studies, synthgen
-from citeconc.cli import _gen_params, main
+from citeconc.cli import main
 from citeconc.corpus import Corpus
 from citeconc.config import build_run, parse_config
 from conftest import ARTICLES_TSV, EDGES_TSV
@@ -145,13 +145,36 @@ def test_gen_params_schedule_override_keeps_the_scenario_span():
     run = build_run(parse_config("corpus.scenario = stationary\ngen.articles.start = 100\n"
                                  "gen.articles.end = 390\ngen.refs.end = 2\nseed = 5\nstudies = g\ng.type = gini\n"))
     base = synthgen.scenario("stationary")
-    params = _gen_params(run)
+    params = run.gen
     assert params.span == base.span == (1980, 2009)
     assert params.articles_per_year == tuple(range(100, 391, 10))
     assert params.refs_per_article == pytest.approx([8.0 - 6.0 * t / 29 for t in range(30)], rel=1e-15)
     assert replace(params, articles_per_year=base.articles_per_year, refs_per_article=base.refs_per_article,
                    seed=base.seed) == base
     assert params.seed == 5
+
+
+SCENARIO = "corpus.scenario = stationary\n"
+FILES = "corpus.articles = a.tsv\ncorpus.edges = e.tsv\nspan.start = 2000\nspan.end = 2004\n"
+
+
+@pytest.mark.parametrize("source, key", [
+    (SCENARIO + "gen.articles.start = abc\n", "gen.articles.start: expected an integer"),
+    (SCENARIO + "gen.refs.end = many\n", "gen.refs.end: expected a number"),
+    (SCENARIO + "gen.span.start = 2000\ngen.span.end = 1999\n", "gen.span.end: 1999 is before gen.span.start 2000"),
+    (SCENARIO + "gen.articles.start = -5\n", "gen.articles/gen.refs: schedules must be non-negative"),
+    (SCENARIO + "seed = x\n", "seed: expected an integer"),
+    ("corpus.scenario = bogus\n", "corpus.scenario: unknown scenario 'bogus'"),
+    (FILES + "gen.refs.end = 4\n", "gen.refs.end: only read with corpus.scenario"),
+    (FILES + "seed = 5\n", "seed: only read with corpus.scenario"),
+])
+def test_analyze_bad_generator_key_is_a_config_error(tmp_path, capsys, source, key):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(source + f"output.dir = {out_dir}\nstudies = g\ng.type = gini\n")
+    assert main(["analyze", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out_dir.exists()
 
 
 def analyze_config(out_dir, extra=""):
@@ -336,6 +359,8 @@ def test_analyze_region_removal_without_region_fails_before_compute(tmp_path, ca
     ("region_tails", "u5.study.top_pct = 1.5\n"),
     ("region_tails", "u5.study.citing_level = cited\n"),
     ("top_shares", "u5.study.pcts = 0.01,0\n"),
+    ("uncited", "u5.study.approach = sideways\n"),
+    ("uncited", "u5.window.direction = up\n"),
 ])
 def test_analyze_invalid_study_parameter_fails_before_compute(tmp_path, capsys, kind, extra):
     out_dir = tmp_path / "out"
@@ -404,8 +429,8 @@ def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, mon
     text, names = importlib.import_module("workloads").analyze_config(20240603, str(tmp_path / "out"), 0.05)
     cfg = tmp_path / "battery.conf"
     cfg.write_text(text)
-    masks, cores, subsets = [], [], []
-    mask, core, subset = studies.in_window_edge_mask, studies.filter_core_journals, Corpus.subset
+    masks, cores, subsets, tables = [], [], [], []
+    mask, core, subset, rows = studies.in_window_edge_mask, studies.filter_core_journals, Corpus.subset, studies._rows
 
     def counted_mask(corpus, length, exclude_self=False):
         masks.append((corpus, length, exclude_self))
@@ -419,7 +444,12 @@ def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, mon
         subsets.append((corpus, keep.tobytes()))
         return subset(corpus, keep)
 
+    def counted_rows(work, mask, key):
+        tables.append(key)
+        return rows(work, mask, key)
+
     monkeypatch.setattr(studies, "in_window_edge_mask", counted_mask)
+    monkeypatch.setattr(studies, "_rows", counted_rows)
     monkeypatch.setattr(normalize, "in_window_edge_mask", counted_mask)  # only when no mask is passed
     monkeypatch.setattr(studies, "filter_core_journals", counted_core)
     monkeypatch.setattr(Corpus, "subset", counted_subset)
@@ -431,6 +461,10 @@ def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, mon
     assert len(masks) == len(set(masks)) == 12
     assert len(cores) == 1
     assert len(subsets) == len(set(subsets)) == 6  # the core-journal corpus and five residuals
+    # One table per population (prepared corpus, window, approach and normalisation
+    # parameters), normalised only when one of its studies reads normalised scores.
+    assert len(tables) == len(set(tables)) == 21
+    assert sum(key.normalized for key in tables) == 16
     # CSV cells are written with repr(): a numpy scalar would show as np.float64(...).
     assert not any("np." in p.read_text() for p in (tmp_path / "out").glob("*.csv"))
 
@@ -447,4 +481,17 @@ def test_analyze_data_error_in_a_study_stops_in_its_turn(tmp_path, capsys):
     assert main(["analyze", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "unknown region" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.csv", "a.json"]
+
+
+def test_analyze_unknown_field_stops_in_its_turn(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(
+        "corpus.scenario = stationary\n" + GEN_OVERRIDES + f"output.dir = {out_dir}\n"
+        "studies = a b c\na.type = gini\nb.type = gini\nb.study.field = Nope\nc.type = uncited\n"
+    )
+    assert main(["analyze", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "unknown field 'Nope'" in err
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.csv", "a.json"]

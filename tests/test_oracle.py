@@ -1,18 +1,29 @@
-"""Differential test of the per-year Gini, uncited-share, top-share and
-regional-tail series against the first-principles reference in ``oracle.py``,
-over every flag that changes which citations count or how they are weighted."""
+"""Differential test of the per-year Gini (whole and by field), uncited-share,
+region-removal, top-share and regional-tail series against the
+first-principles reference in ``oracle.py``, over every flag that changes which
+citations count or how they are weighted."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
 from citeconc import synthgen
 from citeconc.corpus import load_corpus_files, write_tables
-from citeconc.studies import StudyConfig, gini_series, region_tail_shares, top_share_series, uncited_share_series
+from citeconc.studies import (
+    StudyConfig,
+    gini_by_field,
+    gini_series,
+    region_removal_uncitedness,
+    region_tail_shares,
+    top_share_series,
+    uncited_share_series,
+)
 from citeconc.windows import WindowSpec
 from conftest import make_corpus
 
@@ -47,6 +58,7 @@ NORMALISATION_FLAGS = ("exclude_self", "normalized", "mics_per_year")
 study_flags = st.fixed_dictionaries({
     "approach": st.sampled_from(["citation_based", "reference_based"]),
     "length": st.integers(1, 4),
+    "field": st.sampled_from([None, *"FGH"]),  # a field may be absent from the corpus
     **{flag: st.booleans() for flag in DRAWN_FLAGS},
 })
 
@@ -68,6 +80,7 @@ def study_config(flags):
         mics_per_year=flags["mics_per_year"],
         rho_scope=flags["rho_scope"],
         drop_earliest_population=flags["drop_earliest_population"],
+        field_filter=flags["field"],
     )
 
 
@@ -88,12 +101,22 @@ def assert_rows_match(got, want, context):
 
 def check_against_oracle(corpus, flags):
     t = oracle.read(corpus)
-    want = oracle.gini_rows(t, **flags)
-    assert_rows_match(gini_series(corpus, study_config(flags)).rows, want, flags)
+    cfg = study_config(flags)
+    try:
+        want = oracle.gini_rows(t, **flags)
+    except ValueError:
+        with pytest.raises(ValueError, match="unknown field"):
+            gini_series(corpus, cfg)
+    else:
+        assert_rows_match(gini_series(corpus, cfg).rows, want, flags)
+    by_field = gini_by_field(corpus, replace(cfg, field_filter=None))
+    assert list(by_field) == sorted({rec.field for rec in t.articles.values()}), flags
+    for field, report in by_field.items():
+        assert_rows_match(report.rows, oracle.gini_rows(t, **{**flags, "field": field}), (flags, field))
     if flags["approach"] == "citation_based":
         want = oracle.uncited_rows(t, length=flags["length"], exclude_self=flags["exclude_self"],
                                    core_only=flags["core_only"])
-        assert_rows_match(uncited_share_series(corpus, study_config(flags)).rows, want, flags)
+        assert_rows_match(uncited_share_series(corpus, replace(cfg, field_filter=None)).rows, want, flags)
 
 
 @settings(max_examples=250, deadline=None)
@@ -104,9 +127,10 @@ def test_series_match_oracle_on_small_corpora(corpus, flags):
 
 
 def test_series_match_oracle_on_the_fixture_for_every_flag(fixture_corpus):
-    for approach, length, *values in itertools.product(
-            ["citation_based", "reference_based"], [1, 2, 3], *[[False, True]] * len(DRAWN_FLAGS)):
-        for variant in every_normalisation({"approach": approach, "length": length, **dict(zip(DRAWN_FLAGS, values))}):
+    for approach, length, field, *values in itertools.product(
+            ["citation_based", "reference_based"], [1, 2, 3], [None, "Phys", "Chem"], *[[False, True]] * len(DRAWN_FLAGS)):
+        flags = {"approach": approach, "length": length, "field": field, **dict(zip(DRAWN_FLAGS, values))}
+        for variant in every_normalisation(flags):
             check_against_oracle(fixture_corpus, variant)
 
 
@@ -150,6 +174,30 @@ def check_tails_and_top_shares(corpus):
 @given(regional_corpora())
 def test_region_tails_and_top_shares_match_oracle_on_small_corpora(corpus):
     check_tails_and_top_shares(corpus)
+
+
+def check_region_removal(corpus):
+    """region_removal_uncitedness of every region against the oracle, on the
+    whole corpus and on its core journals; a residual with no articles is an error."""
+    t = oracle.read(corpus)
+    regions = sorted({rec.region for rec in t.articles.values()})
+    for region, length, excl, core_only in itertools.product(regions, [1, 2], [False, True], [False, True]):
+        cfg = StudyConfig(window=WindowSpec("forward", length), exclude_self_citations=excl, core_only=core_only,
+                          region_removed=region)
+        context = {"region": region, "length": length, "exclude_self": excl, "core_only": core_only}
+        try:
+            want = oracle.region_removal_rows(t, region=region, length=length, exclude_self=excl, core_only=core_only)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty residual corpus"):
+                region_removal_uncitedness(corpus, cfg)
+        else:
+            assert_rows_match(region_removal_uncitedness(corpus, cfg).rows, want, context)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regional_corpora())
+def test_region_removal_matches_oracle_on_small_corpora(corpus):
+    check_region_removal(corpus)
 
 
 def test_region_tails_and_top_shares_match_oracle_on_shuffled_rows(tmp_path):

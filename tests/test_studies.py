@@ -230,6 +230,8 @@ FORWARD_ONLY_KINDS = ("uncited", "region_removal", "region_tails", "top_shares")
     ("top_shares", FORWARD, {"pcts": (1.5,)}, r"\(0, 1\]"),
     ("region_tails", FORWARD, {"top_pct": 0.0}, r"\(0, 1\]"),
     ("region_tails", FORWARD, {"top_pct": 1.5}, r"\(0, 1\]"),
+    *((kind, replace(FORWARD, field_filter="F0"), {}, "only gini studies read a field")
+      for kind in ("uncited", "top_shares", "region_tails", "gini_by_field")),
 ])
 def test_invalid_study_spec_raises(kind, cfg, params, match):
     with pytest.raises(ValueError, match=match):
@@ -379,6 +381,13 @@ def test_gini_by_field_matches_field_filter_runs():
     for f, rep in per_field.items():
         direct = gini_series(corpus, StudyConfig(window=WindowSpec("forward", 2), field_filter=f))
         assert [r["gini"] for r in rep.rows] == [r["gini"] for r in direct.rows]
+
+
+def test_gini_series_unknown_field_raises(fixture_corpus):
+    for approach, direction in (("citation_based", "forward"), ("reference_based", "backward")):
+        cfg = StudyConfig(window=WindowSpec(direction, 2), approach=approach, field_filter="Nope")
+        with pytest.raises(ValueError, match="unknown field 'Nope'"):
+            gini_series(fixture_corpus, cfg)
 
 
 def test_field_absent_in_year_gives_null_row():
