@@ -56,7 +56,7 @@ def cmd_validate(articles_path: str, edges_path: str, span: tuple[int, int] | No
     except OSError as e:
         print(f"error: cannot read {e.filename}: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (DataError, UnicodeDecodeError) as e:
+    except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:  # an inverted --span
@@ -86,7 +86,7 @@ def cmd_analyze(config_path: str) -> int:
     try:
         with open(config_path, encoding="utf-8") as f:
             run = build_run(parse_config(f.read()))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {config_path}: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as e:
@@ -98,7 +98,7 @@ def cmd_analyze(config_path: str) -> int:
             corpus = synthgen.generate(run.gen)
         else:
             corpus = corpus_mod.load_corpus_files(run.articles_path, run.edges_path, run.span)
-    except (OSError, DataError, UnicodeDecodeError) as e:
+    except (OSError, DataError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:

@@ -142,6 +142,8 @@ def build_run(raw: dict[str, str]) -> RunConfig:
         span = (_int(raw["span.start"], "span.start"), _int(raw["span.end"], "span.end"))
     if has_files and span is None:
         raise ConfigError("span.start/span.end are required for file input")
+    if has_scenario and span is not None:
+        raise ConfigError("span.start/span.end: only read with file input (a scenario's span is gen.span.start/end)")
 
     formats = tuple(f.strip() for f in raw.get("output.formats", "csv,json").split(",") if f.strip())
     for f in formats:

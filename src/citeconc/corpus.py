@@ -9,10 +9,10 @@ author_ids is a ``;``-separated list (possibly empty). :func:`read_tables` is
 the one row parser: it holds the row, span and edge-drop rules that both
 :func:`load_corpus` (``analyze``) and ``citeconc validate`` apply.
 
-Both hand it the files' bytes, which it parses column-wise with numpy (the byte
-path). Files with a ``"``, CR or NUL byte, invalid UTF-8 or any row that breaks
-a rule go through the ``csv`` reader instead, with the same results, errors and
-line numbers.
+Two tokenisers split the files' bytes into rows of field bounds (see
+:func:`_split`): numpy splits a file at its tabs and newlines, and the ``csv``
+module reads a file with a ``"``, CR or NUL byte. One checker applies every
+row rule to either form, with the same errors and line numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import csv
 import io
 import itertools
 import sys
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -162,119 +162,124 @@ def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
     return out
 
 
-def _rows(source: IO[str], columns: list[str], name: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each non-blank data row of a TSV stream whose header
-    and row widths match ``columns``. The line number is the physical line on
-    which the row starts, though a quoted field may span lines; a row the csv
-    module cannot read is a :class:`DataError` too."""
-    reader = csv.reader(source, delimiter="\t")
-    lineno = 1
+def _read_header(reader: Iterator[list[str]], columns: list[str], name: str) -> None:
+    """Read the first row of a csv ``reader`` over file ``name``, which must be ``columns``."""
     try:
         header = next(reader, None)
-        if header is None or [c.strip() for c in header] != columns:
-            raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
-        lineno = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != len(columns):
-                    raise DataError(f"{name} line {lineno}: expected {len(columns)} columns, got {len(row)}")
-                yield lineno, row
-            lineno = reader.line_num + 1
     except csv.Error as e:
-        raise DataError(f"{name} line {lineno}: {e}") from None
+        raise DataError(f"{name} line 1: {e}") from None
+    if header is None or [c.strip() for c in header] != columns:
+        raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
 
 
-def _read_csv(articles_source: IO[str], edges_source: IO[str], start: int, end: int) -> dict:
-    """The csv path of :func:`read_tables`: the per-row rules, and every error they raise."""
-    index: dict[str, int] = {}  # every id read -> its retained row, or -1 if out of span
-    ids: list[str] = []
-    years: list[int] = []
-    author_text: list[bytes] = []
-    field_vocab: dict[str, int] = {}
-    field_code: list[int] = []
-    region_vocab: dict[str, int] = {}
-    region_code: list[int] = []
-    journal_vocab: dict[str, int] = {}
-    journal_code: list[int] = []
+def _split_bytes(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tuple]:
+    """:func:`_split` of a table with no ``"``, CR or NUL byte, with numpy: a row is
+    a non-blank line, and its fields are the runs between its tabs."""
+    width, limit = len(columns), csv.field_size_limit()
+    start = data.find(b"\n") + 1 or len(data)
+    _read_header(csv.reader([data[:start].decode()], delimiter="\t"), columns, name)
+    line = 2  # the line the piece starts on
+    while True:
+        stop = data.find(b"\n", start + size) + 1 or len(data)
+        buf = np.frombuffer(data, np.uint8, stop - start, start)
+        newline = np.flatnonzero(buf == 10)
+        line_lo = np.concatenate([[-1], newline])  # the byte before each line
+        line_hi = np.append(newline, len(buf))
+        del newline
+        nonblank = line_hi > line_lo + 1
+        line_lo, line_hi = line_lo[nonblank], line_hi[nonblank]
+        tabs = np.flatnonzero(buf == 9)
+        k, message = len(line_lo), None  # the rows split, and why the next is not
+        # With the right count, row r's tabs are block r of the tab list, which must lie in line r.
+        if len(tabs) != (width - 1) * k or k and ((tabs[::width - 1] <= line_lo).any()
+                                                  or (tabs[width - 2::width - 1] >= line_hi).any()):
+            count = np.searchsorted(tabs, line_hi) - np.searchsorted(tabs, line_lo)
+            k = int(np.argmax(count != width - 1))
+            message = f"expected {width} columns, got {count[k] + 1}"
+        # A field over the csv module's limit is its error, raised before the row's width is seen.
+        for r in np.flatnonzero(line_hi[:k + 1] - line_lo[:k + 1] > limit + 1).tolist():  # rows over the limit
+            try:
+                next(csv.reader([data[start + line_lo[r] + 1:start + line_hi[r]].decode()], delimiter="\t"))
+            except csv.Error as e:
+                k, message = r, str(e)
+                break
+        rows = np.flatnonzero(nonblank)  # the line each row starts on
+        rows += line
+        bad = None if message is None else DataError(f"{name} line {rows[k]}: {message}")
+        ends = np.column_stack([line_lo[:k], tabs[:(width - 1) * k].reshape(k, width - 1), line_hi[:k]])
+        del line_lo, line_hi, tabs
+        ends += start
+        yield data, ends, rows[:k], bad
+        if bad is not None or stop == len(data):
+            return
+        del ends, rows  # before the next piece's arrays exist
+        line += len(nonblank) - 1  # the piece's newlines
+        start = stop
 
-    art_rows = 0
-    for lineno, (art_id, year_s, fld, region, journal, authors) in _rows(articles_source, ARTICLE_COLUMNS, "articles"):
-        art_rows += 1
+
+# Rows _split_csv reads and encodes at a time.
+_CSV_ROWS = 1 << 12
+
+
+def _split_csv(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tuple]:
+    """:func:`_split` with the csv module. Rows are read _CSV_ROWS at a time, and a
+    batch's fields are joined again, each followed by a tab or, the last of its row,
+    a newline, and encoded at once."""
+    width = len(columns)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), delimiter="\t")
+    _read_header(reader, columns, name)
+    line, text, seps, lines = reader.line_num + 1, bytearray(), [], []  # line: where the next row starts
+    while True:
+        rows, error = [], None
         try:
-            year = int(year_s)
-        except ValueError:
-            raise DataError(f"articles line {lineno}: unparsable year {year_s!r}") from None
-        if not fld:
-            raise DataError(f"articles line {lineno}: empty field label")
-        if art_id in index:
-            raise DataError(f"articles line {lineno}: duplicate article id {art_id!r}")
-        if year < start or year > end:
-            index[art_id] = -1
-            continue
-        index[art_id] = len(ids)
-        ids.append(art_id)
-        years.append(year)
-        field_code.append(field_vocab.setdefault(fld, len(field_vocab)))
-        region_code.append(region_vocab.setdefault(region, len(region_vocab)))
-        journal_code.append(journal_vocab.setdefault(journal, len(journal_vocab)))
-        author_text.append(authors.encode())
-
-    citing: list[int] = []
-    cited: list[int] = []
-    self_loops = 0
-    for _, (src, dst) in _rows(edges_source, EDGE_COLUMNS, "edges"):
-        if src == dst:
-            self_loops += 1
-            continue
-        citing.append(index.get(src, -1))
-        cited.append(index.get(dst, -1))
-
-    author_len = np.fromiter(map(len, author_text), np.int64, len(author_text))
-    return dict(
-        ids=ids,
-        pub_year=np.asarray(years, dtype=np.int32),
-        field_code=np.asarray(field_code, dtype=np.int32),
-        fields=list(field_vocab),
-        region_code=np.asarray(region_code, dtype=np.int32),
-        regions=list(region_vocab),
-        journal_code=np.asarray(journal_code, dtype=np.int32),
-        journals=list(journal_vocab),
-        author_fields=(b"".join(author_text), np.cumsum(author_len) - author_len, np.cumsum(author_len)),
-        citing=np.asarray(citing, dtype=np.int64),
-        cited=np.asarray(cited, dtype=np.int64),
-        self_loops=self_loops,
-        art_rows=art_rows,
-    )
+            for row in itertools.islice(reader, _CSV_ROWS):
+                rows.append(row)
+        except csv.Error as e:
+            error = str(e)
+        # A row spans one line more than the line breaks in its fields.
+        spans = [1] * len(rows) if reader.line_num + 1 - line == len(rows) else [
+            1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows]
+        start = line + np.cumsum([0] + spans)
+        count = np.fromiter(map(len, rows), np.int64, len(rows))
+        k = int(np.argmax(np.append((count != width) & (count > 0), True)))  # the first row of another width
+        if k < len(rows):
+            error = f"expected {width} columns, got {count[k]}"
+        line, done = int(start[k]), error is not None or len(rows) < _CSV_ROWS
+        lines.append(start[:k][count[:k] > 0])
+        rows = list(filter(None, rows[:k]))
+        joined = "\n".join(itertools.chain(map("\t".join, rows), [""]))
+        encoded = joined.encode()
+        sep = np.cumsum(np.fromiter(map(len, itertools.chain.from_iterable(rows)), np.int64) + 1) - 1
+        if len(encoded) != len(joined):  # character offsets to byte offsets
+            sep = np.flatnonzero((np.frombuffer(encoded, np.uint8) & 0xC0) != 0x80)[sep]
+        seps.append(sep.reshape(-1, width) + len(text))
+        text += encoded
+        if done or len(text) >= size:
+            ends = np.concatenate(seps)
+            ends = np.column_stack([np.append(-1, ends[:-1, -1])[:len(ends)], ends])  # a row starts after the last
+            bad = None if error is None else DataError(f"{name} line {line}: {error}")
+            yield text, ends, np.concatenate(lines), bad
+            if done:
+                return
+            text, ends, seps, lines = bytearray(), None, [], []  # before the next piece's arrays exist
 
 
-def _split_rows(buf: np.ndarray, columns: list[str], header: bool) -> np.ndarray | None:
-    """The field bounds of each non-blank row of a piece of a TSV table, skipping
-    its first line if ``header``: ``ends`` of shape (rows, columns + 1), the offset
-    of the byte before each row and of the tab or newline after each field (see
-    :func:`_field`). None if that header is not ``columns`` tab-separated, a row
-    has another width, or a field is longer than the csv module's limit."""
-    newline = np.flatnonzero(buf == 10)
-    line_lo = np.concatenate([[-1], newline])  # the byte before each line
-    line_hi = np.append(newline, len(buf))
-    del newline
-    if header:
-        if buf[:line_hi[0]].tobytes() != "\t".join(columns).encode():
-            return None
-        line_lo, line_hi = line_lo[1:], line_hi[1:]
-    nonblank = line_hi > line_lo + 1
-    line_lo, line_hi = line_lo[nonblank], line_hi[nonblank]
-    tabs = np.flatnonzero(buf == 9)[len(columns) - 1 if header else 0:]
-    if len(tabs) != (len(columns) - 1) * len(line_lo):
-        return None
-    tabs = tabs.reshape(len(line_lo), len(columns) - 1)
-    # With the right count, row r's tabs are block r of the tab list, which must lie in line r.
-    if len(line_lo) and ((tabs[:, 0] <= line_lo).any() or (tabs[:, -1] >= line_hi).any()):
-        return None
-    ends = np.column_stack([line_lo, tabs, line_hi])
-    del tabs
-    if any((ends[:, j + 1] - ends[:, j]).max(initial=0) > csv.field_size_limit() + 1 for j in range(len(columns))):
-        return None
-    return ends
+def _split(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tuple]:
+    """The rows of file ``name``, the TSV table ``data`` with the header ``columns``,
+    in pieces ``(data, ends, line, bad)`` of about ``size`` bytes: the fields of each
+    non-blank row lie in ``data`` at ``ends`` (see :func:`_field`), and it starts on
+    physical line ``line``. ``bad`` is the :class:`DataError` of the next row, which
+    could not be split (another width, a field over the csv module's limit or a
+    ``csv.Error``), or None; no piece follows it. A file with a ``"``, CR or NUL byte
+    is split by the csv module, any other with numpy."""
+    try:
+        data.isascii() or data.decode()
+    except UnicodeDecodeError as e:
+        head = data[:e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"{name} line {line}: {e}") from None
+    split = _split_csv if any(c in data for c in (b'"', b"\r", b"\0")) else _split_bytes
+    return split(data, columns, name, size)
 
 
 def _field(ends: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,38 +287,9 @@ def _field(ends: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, j] + 1, ends[:, j + 1].copy()
 
 
-# Bytes of the edges table that the byte path splits and looks up at a time: bounds
-# the memory of that pass to some tens of MB however many edges there are. At 4 MiB
-# a 300k-article read_tables peaks below the csv reader's.
+# Bytes of the edges table that are split and looked up at a time: bounds the memory
+# of that pass to some tens of MB however many edges there are.
 _EDGE_PIECE = 1 << 22
-
-
-def _pieces(data: bytes, size: int) -> Iterator[np.ndarray]:
-    """``data`` as consecutive pieces of whole lines of at least ``size`` bytes
-    (the last may be shorter or empty), viewed as uint8 arrays."""
-    start = 0
-    while True:
-        stop = data.find(b"\n", start + size) + 1 or len(data)
-        yield np.frombuffer(data, np.uint8, stop - start, start)
-        if stop == len(data):
-            return
-        start = stop
-
-
-def _years(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The year in each byte range, or None unless every range holds 1 to 9 ASCII
-    digits (``int`` also reads signs, spaces, underscores and non-ASCII digits)."""
-    n = hi - lo
-    if len(n) and (n.min() < 1 or n.max() > 9):
-        return None
-    year = np.zeros(len(n), np.int64)
-    for j in range(int(n.max(initial=0))):
-        has = n > j
-        digit = buf[np.where(has, lo + j, 0)].astype(np.int64) - ord("0")
-        if ((digit < 0) | (digit > 9))[has].any():
-            return None
-        year = np.where(has, year * 10 + digit, year)
-    return year
 
 
 # Leading bytes of each string that _ranks and _id_finder compare as big-endian
@@ -373,22 +349,31 @@ def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
     return rank, first
 
 
-def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[..., np.ndarray] | None:
+def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               nul: bool) -> tuple[Callable[..., np.ndarray], list[int]]:
     """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of
-    the equal id ``buf[lo[i]:hi[i]]``, or -1; None if two ids are equal.
+    the equal id ``buf[lo[i]:hi[i]]``, or -1; and the first ``i`` whose id repeats
+    an earlier one, if any. ``nul``: whether a range may end in a NUL byte.
 
-    The ids hold no NUL byte, so their zero-padded words tell ids of at most
-    _PREFIX bytes apart; the sorted ids are searched a word at a time, with the
-    rank of each word among the ids' words at that level and the first sorted id
-    that shares the words so far as the key (at the first level, read from a table
-    of where each rank starts). Longer ids are found in a dict."""
+    Ids of at most _PREFIX bytes are sorted stably on their zero-padded words, and
+    on their length if an id or a range may end in a NUL byte (the words do not
+    tell those apart), and searched a word at a time, with the rank of each word
+    among the ids' words at that level and the first sorted id that shares the
+    words so far as the key (at the first level, read from a table of where each
+    rank starts). Longer ids are found in a dict."""
     n = hi - lo
     long = n > _PREFIX
-    long_ids = {buf[a:b].tobytes(): i for i, a, b in zip(np.flatnonzero(long).tolist(), lo[long].tolist(),
-                                                          hi[long].tolist())}
+    long_ids: dict[bytes, int] = {}
+    repeats = [i for i, a, b in zip(np.flatnonzero(long).tolist(), lo[long].tolist(), hi[long].tolist())
+               if long_ids.setdefault(buf[a:b].tobytes(), i) != i]
     short = np.flatnonzero(~long)
     max_len = int(n[short].max(initial=-1))
-    words = [_words(buf, lo[short] + k, np.clip(n[short] - k, 0, 8)) for k in range(0, max_len, 8)]
+    nul = nul or bool((buf[hi[short][n[short] > 0] - 1] == 0).any())
+
+    def words_of(fbuf: np.ndarray, flo: np.ndarray, fn: np.ndarray) -> list[np.ndarray]:
+        return [_words(fbuf, flo + k, np.clip(fn - k, 0, 8)) for k in range(0, max_len, 8)] + ([fn] if nul else [])
+
+    words = words_of(buf, lo[short], n[short])
     order = np.lexsort(words[::-1]) if words else np.arange(len(short))
     row = short[order]
     levels = []
@@ -401,8 +386,7 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[...,
         prefix = np.searchsorted(key, key)
         levels.append((values, key))
     del words, order
-    if len(long_ids) < long.sum() or (np.diff(prefix) == 0).any():
-        return None
+    repeats += row[1:][np.diff(prefix) == 0].tolist()  # equal ids are adjacent, in the order they came
     if levels:  # the first level keeps where each rank starts, with one more entry for a word above them all
         levels[0] = (levels[0][0], np.searchsorted(levels[0][1], np.arange(len(levels[0][0]) + 1)))
 
@@ -412,7 +396,7 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[...,
         for i in np.flatnonzero(fn > _PREFIX).tolist():
             out[i] = long_ids.get(fbuf[flo[i]:fhi[i]].tobytes(), -1)
         todo = np.flatnonzero(fn <= max_len)
-        words = [_words(fbuf, flo[todo] + k, np.clip(fn[todo] - k, 0, 8)) for k in range(0, max_len, 8)]
+        words = words_of(fbuf, flo[todo], fn[todo])
         # Sorted probes make searchsorted far faster; each level's probes stay sorted.
         order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1]) if words else slice(None)
         todo = todo[order]
@@ -431,7 +415,7 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[...,
         out[todo[found]] = row[at[found]]
         return out
 
-    return find
+    return find, sorted(repeats)[:1]
 
 
 def _same(buf: np.ndarray, alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
@@ -466,38 +450,50 @@ def _decode(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
             for a, b in zip(lo[k:k + (1 << 16)].tolist(), hi[k:k + (1 << 16)].tolist())]
 
 
-def _read_bytes(articles: bytes, edges: bytes, start: int, end: int) -> dict | None:
-    """The byte path of :func:`read_tables`: what :func:`_read_csv` returns, found
-    with numpy over the raw bytes, or None (declined) where that path could read
-    the tables otherwise or would raise: a ``"``, CR or NUL byte, invalid UTF-8,
-    anything :func:`_split_rows` or :func:`_years` declines, an empty field label
-    or a duplicate id."""
-    if any(c in data for data in (articles, edges) for c in (b'"', b"\r", b"\0")):
-        return None
-    try:
-        for data in (articles, edges):
-            data.isascii() or data.decode()
-    except UnicodeDecodeError:
-        return None
-    abuf = np.frombuffer(articles, np.uint8)
-    ends = _split_rows(abuf, ARTICLE_COLUMNS, header=True)
-    if ends is None:
-        return None
-    year = _years(abuf, *_field(ends, 1))
-    if year is None or (ends[:, 3] == ends[:, 2] + 1).any():  # an empty field label
-        return None
-    find = _id_finder(abuf, *_field(ends, 0))
-    if find is None:  # a duplicate id
-        return None
+def _years(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The year in each byte range ``data[lo[i]:hi[i]]``, read with ``int`` once per
+    distinct string, and ``(i, message)`` of the first that is unparsable or outside
+    int32, if any."""
+    rank, first = _ranks(np.frombuffer(data, np.uint8), lo, hi)
+    value, errors = np.zeros(len(first), np.int64), []
+    for r, (i, text) in enumerate(zip(first.tolist(), _decode(data, lo[first], hi[first]))):
+        try:
+            year = int(text)
+        except ValueError:
+            errors.append((i, f"unparsable year {text!r}"))
+            continue
+        if -2**31 <= year < 2**31:
+            value[r] = year
+        else:
+            errors.append((i, f"year {text!r} out of range"))
+    return value[rank], sorted(errors)[:1]
+
+
+def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, np.ndarray, np.ndarray, int, int]:
+    """Split both tables, check every article row, and look up the edges' endpoints:
+    :func:`read_tables`' columns but for its edges, ``citing`` and ``cited`` (the
+    retained row of each end of every edge but the self-loops, or -1), the number
+    of self-loops and the number of article rows."""
+    [(data, ends, line, bad)] = _split(articles, ARTICLE_COLUMNS, "articles", sys.maxsize)
+    abuf = np.frombuffer(data, np.uint8)
+    year, errors = _years(data, *_field(ends, 1))
+    errors += [(i, "empty field label") for i in np.flatnonzero(ends[:, 3] == ends[:, 2] + 1)[:1].tolist()]
+    find, repeat = _id_finder(abuf, *_field(ends, 0), b"\0" in edges)
+    errors += [(i, f"duplicate article id {data[ends[i, 0] + 1:ends[i, 1]].decode()!r}") for i in repeat]
+    if errors:  # the earliest row's; in a row, the first of year, field and id
+        row, message = min(errors, key=lambda e: e[0])
+        raise DataError(f"articles line {line[row]}: {message}")
+    if bad is not None:
+        raise bad
     kept = np.flatnonzero((year >= start) & (year <= end))
     row_of = np.full(len(ends) + 1, -1, np.int64)  # retained row of each article; -1 (also at [-1]): none
     row_of[kept] = np.arange(len(kept))
 
     citing, cited, self_loops = [], [], 0
-    for k, ebuf in enumerate(_pieces(edges, _EDGE_PIECE)):
-        edge_ends = _split_rows(ebuf, EDGE_COLUMNS, header=k == 0)
-        if edge_ends is None:
-            return None
+    for edata, edge_ends, _, bad in _split(edges, EDGE_COLUMNS, "edges", _EDGE_PIECE):
+        if bad is not None:
+            raise bad
+        ebuf = np.frombuffer(edata, np.uint8)
         loop = _same(ebuf, *_field(edge_ends, 0), *_field(edge_ends, 1))
         self_loops += int(loop.sum())
         edge_ends = edge_ends[~loop]
@@ -506,34 +502,29 @@ def _read_bytes(articles: bytes, edges: bytes, start: int, end: int) -> dict | N
         del edge_ends, loop  # before the next piece's arrays exist
 
     ends = ends[kept]
-    columns = dict(ids=_decode(articles, *_field(ends, 0)), pub_year=year[kept].astype(np.int32))
+    columns = dict(ids=_decode(data, *_field(ends, 0)), pub_year=year[kept].astype(np.int32))
     for col, codes, labels in ((2, "field_code", "fields"), (3, "region_code", "regions"),
                                (4, "journal_code", "journals")):
         lo, hi = _field(ends, col)
         label_rank, label_row = _ranks(abuf, lo, hi)
         columns[codes], by_code = _first_use_codes(label_rank, label_row)
-        columns[labels] = _decode(articles, lo[label_row[by_code]], hi[label_row[by_code]])
-    return dict(
-        columns,
-        author_fields=(articles, *_field(ends, 5)),
-        citing=np.concatenate(citing),
-        cited=np.concatenate(cited),
-        self_loops=self_loops,
-        art_rows=len(year),
-    )
+        columns[labels] = _decode(data, lo[label_row[by_code]], hi[label_row[by_code]])
+    columns["author_fields"] = (data, *_field(ends, 5))
+    return columns, np.concatenate(citing), np.concatenate(cited), self_loops, len(year)
 
 
 def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> dict:
     """Parse article and edge TSV tables into coded columns: the one row parser.
 
-    Malformed rows (wrong column count, bad year, empty field) and duplicate
-    article ids, whatever their year, raise :class:`DataError`. Articles outside
+    Invalid UTF-8, malformed rows (wrong column count, a year unparsable or
+    outside int32, empty field) and duplicate article ids, whatever their year,
+    raise :class:`DataError` with the line of the first. Articles outside
     ``span`` are dropped (``span=None`` keeps every year); edges are dropped, in
     this precedence, as self_loop, dangling (an endpoint not retained),
     future_dated (cites a later year) and duplicate_edge (first copy kept).
 
-    The tables are the UTF-8 bytes of both files. The byte path reads them; where
-    it declines, the csv module does. Both paths give equal results.
+    The tables are the UTF-8 bytes of both files, split by :func:`_split`'s
+    numpy or csv tokeniser and checked by one checker either way.
 
     Returns the :class:`Corpus` keyword arguments ``ids``, ``pub_year``, the
     field/region/journal codes and labels, ``citing``, ``cited``, ``drops`` and
@@ -544,13 +535,8 @@ def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> 
     start, end = (int(span[0]), int(span[1])) if span is not None else (-sys.maxsize, sys.maxsize)
     if start > end:
         raise ValueError(f"invalid span {span}")
-    tables = _read_bytes(articles, edges, start, end)
-    if tables is None:
-        texts = (io.TextIOWrapper(io.BytesIO(b), encoding="utf-8", newline="") for b in (articles, edges))
-        tables = _read_csv(*texts, start, end)
-
-    pub_year, citing, cited = tables["pub_year"], tables.pop("citing"), tables.pop("cited")
-    self_loops, art_rows = tables.pop("self_loops"), tables.pop("art_rows")
+    tables, citing, cited, self_loops, art_rows = _parse(articles, edges, start, end)
+    pub_year = tables["pub_year"]
     edge_rows = self_loops + len(citing)
     keep = (citing >= 0) & (cited >= 0)
     n_dangling = len(citing) - int(keep.sum())
@@ -595,9 +581,9 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     named = tok_hi > tok_lo
     tok_lo, tok_hi = tok_lo[named], tok_hi[named]
     del named
-    article = np.searchsorted(lo, tok_lo, "right") - 1
 
     rank, first = _ranks(buf, tok_lo, tok_hi)
+    article = np.searchsorted(lo, tok_lo, "right") - 1  # after _ranks, whose arrays set load_corpus' peak
     names = _decode(data, tok_lo[first], tok_hi[first])
     del tok_lo, tok_hi
     n_names = len(first)

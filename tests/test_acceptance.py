@@ -262,9 +262,21 @@ def test_c11_performance():
                                                  include_uncited=include))
              for approach, direction in (("citation_based", "forward"), ("reference_based", "backward"))
              for length in (2, 5, 10) for include in (True, False)]
-    for (report,) in run_studies(corpus, specs):  # the battery helper `citeconc analyze` runs
-        assert any(r["gini"] is not None for r in report.rows)
+    reports = [report for (report,) in run_studies(corpus, specs)]  # the battery helper `citeconc analyze` runs
     elapsed = time.perf_counter() - t0
+    for report in reports:
+        assert any(r["gini"] is not None for r in report.rows)
+    # G_incl = u + (1 - u) * G_excl with u = zero_count / n, on each include/exclude pair.
+    checked = 0
+    for with_uncited, without in zip(reports[::2], reports[1::2]):
+        for a, b in zip(with_uncited.rows, without.rows, strict=True):
+            assert (a["year"], a["n"], a["zero_count"]) == (b["year"], b["n"], b["zero_count"])
+            if a["gini"] is None or b["gini"] is None:
+                continue
+            u = a["zero_count"] / a["n"]
+            assert a["gini"] == pytest.approx(u + (1 - u) * b["gini"], rel=0, abs=1e-12), (with_uncited.study_id, a)
+            checked += 1
+    assert checked >= 100
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
     print(f"  [battery: {elapsed:.1f} s, peak {peak_gb:.2f} GB, "
           f"{corpus.n_articles} articles, {corpus.n_edges} edges]")

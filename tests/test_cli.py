@@ -74,6 +74,26 @@ def test_validate_duplicate_id_is_error(tmp_path, capsys):
         assert "line 3: duplicate article id" in capsys.readouterr().err
 
 
+def test_validate_year_beyond_int32_is_a_data_error(tmp_path, capsys):
+    arts, edges = write_fixture_tables(tmp_path)
+    Path(arts).write_text(ARTICLES_TSV + "F\t99999999999\tPhys\tAsia\tJ1\t\n")
+    assert main(["validate", arts, edges]) == 2
+    assert capsys.readouterr().err == "error: articles line 7: year '99999999999' out of range\n"
+
+
+def test_invalid_utf8_names_its_line_and_offset(tmp_path, capsys):
+    arts, edges = write_fixture_tables(tmp_path)
+    rows = "".join(f"P{i:04d}\t2001\tPhys\tAsia\tJ1\ta{i}\n" for i in range(600))  # past 8 KiB
+    data = (ARTICLES_TSV + rows).encode() + b"Q\t2001\tPhys\tAsia\tJ1\ta\xff\n"
+    assert len(data) > 8192
+    Path(arts).write_bytes(data)
+    assert main(["validate", arts, edges]) == 2
+    err = capsys.readouterr().err
+    position = len(data) - 2  # in the file, not in a decoder's chunk
+    assert err.startswith(f"error: articles line 607: 'utf-8' codec can't decode byte 0xff in position {position}:")
+    assert err.count("\n") == 1
+
+
 def test_validate_missing_file(tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "nope.tsv"), str(tmp_path / "nope2.tsv")])
     assert rc == 2
@@ -167,6 +187,7 @@ FILES = "corpus.articles = a.tsv\ncorpus.edges = e.tsv\nspan.start = 2000\nspan.
     ("corpus.scenario = bogus\n", "corpus.scenario: unknown scenario 'bogus'"),
     (FILES + "gen.refs.end = 4\n", "gen.refs.end: only read with corpus.scenario"),
     (FILES + "seed = 5\n", "seed: only read with corpus.scenario"),
+    (SCENARIO + "span.start = 1995\nspan.end = 1996\n", "span.start/span.end: only read with file input"),
 ])
 def test_analyze_bad_generator_key_is_a_config_error(tmp_path, capsys, source, key):
     out_dir = tmp_path / "out"
@@ -174,6 +195,16 @@ def test_analyze_bad_generator_key_is_a_config_error(tmp_path, capsys, source, k
     cfg.write_text(source + f"output.dir = {out_dir}\nstudies = g\ng.type = gini\n")
     assert main(["analyze", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out_dir.exists()
+
+
+def test_analyze_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_bytes(f"{SCENARIO}output.dir = {out_dir}\nstudies = g\ng.type = gini # \xff\n".encode("latin-1"))
+    assert main(["analyze", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
     assert not out_dir.exists()
 
 

@@ -115,6 +115,9 @@ def test_malformed_rows_report_line_numbers():
         make_corpus(ART_HEADER + "A\ttwothousand\tF\tR\tJ\t\n", EDGE_HEADER)
     with pytest.raises(DataError, match="header"):
         make_corpus("wrong\theader\n", EDGE_HEADER)
+    # a year outside int32 is a data error whatever the span
+    with pytest.raises(DataError, match=r"^articles line 3: year '99999999999' out of range$"):
+        make_corpus(ART_HEADER + "A\t2000\tF\tR\tJ\t\nB\t99999999999\tF\tR\tJ\t\n", EDGE_HEADER)
     # a quoted author list spans lines 2-3: the bad year is on physical line 5,
     # and a bad row that itself spans lines 4-5 is reported where it starts
     spanning = ART_HEADER + 'A\t2000\tF\tR\tJ\t"a1\na2"\nB\t2001\tF\tR\tJ\t\n'

@@ -6,9 +6,11 @@ quoted fields (an author list may span two lines), blank lines, empty or
 repeated author lists, rows outside the span, every edge drop reason and at
 most one malformed row. Line numbers are the physical lines rows start on.
 
-The byte path of ``read_tables`` is checked against its csv path and the same
-reference on tables it reads, and against the csv path on each kind of table
-it declines.
+``read_tables`` splits a file with numpy (the byte path) unless it holds a
+``"``, CR or NUL byte, and with the ``csv`` module otherwise; one checker reads
+either form. The byte path is checked against the csv tokeniser and the same
+reference on clean tables, and against the csv tokeniser on each kind of table
+that has a fault or that numpy does not split.
 """
 
 import contextlib
@@ -16,7 +18,6 @@ import csv
 import io
 import os
 import re
-import sys
 import tempfile
 from collections import Counter
 from unittest import mock
@@ -157,8 +158,8 @@ def table_records(t):
 
 
 def by_csv(read, articles, edges, span):
-    """``read`` (read_tables or load_corpus) of the tables' bytes, with the byte path declined."""
-    with mock.patch.object(corpus_mod, "_read_bytes", return_value=None):
+    """``read`` (read_tables or load_corpus) of the tables' bytes, split by the csv module."""
+    with mock.patch.object(corpus_mod, "_split_bytes", corpus_mod._split_csv):
         return read(articles, edges, span)
 
 
@@ -190,9 +191,13 @@ def validate_report(text):
 
 
 @settings(max_examples=250, deadline=None)
-@given(dirty_tables(), st.sampled_from([None, (2000, 2002), (1999, 2003)]))
-def test_read_tables_and_validate_match_the_reference(tables, span):
-    articles_text, edges_text = tables
+@given(dirty_tables(), st.sampled_from([None, (2000, 2002), (1999, 2003)]), st.sampled_from([1, 3, 1 << 12]))
+def test_read_tables_and_validate_match_the_reference(tables, span, csv_rows):
+    with mock.patch.object(corpus_mod, "_CSV_ROWS", csv_rows), mock.patch.object(corpus_mod, "_EDGE_PIECE", csv_rows):
+        check_against_the_reference(*tables, span)  # rows read, and edges split and looked up, a few at a time
+
+
+def check_against_the_reference(articles_text, edges_text, span):
     rc, out, err = run_validate(articles_text, edges_text, span)
     try:
         kept, edges, drops, rows_read = reference_read(articles_text, edges_text, span)
@@ -231,7 +236,7 @@ def test_read_tables_and_validate_match_the_reference(tables, span):
         assert records[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}
 
 
-# -- the byte path --------------------------------------------------------------
+# -- the byte path against the csv tokeniser -----------------------------------
 
 # Ids of one and two 8-byte words, and past the 64 bytes compared as words, and the empty id.
 BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7", ""]
@@ -243,8 +248,8 @@ AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"
 
 @st.composite
 def clean_tables(draw):
-    """Article and edge TSV text with no quote, CR or NUL and no fault, which the
-    byte path reads: empty, repeated and non-ASCII author names, empty region and
+    """Article and edge TSV text with no quote, CR or NUL and no fault, which numpy
+    splits: empty, repeated and non-ASCII author names, empty region and
     journal labels, blank lines, every edge drop reason and a last line with or
     without a newline."""
     ids = draw(st.lists(st.sampled_from(BYTE_IDS), unique=True, max_size=7))
@@ -278,9 +283,7 @@ def assert_same_corpus(a, b):
 def test_byte_path_matches_the_csv_path_and_the_reference(tables, span, edge_piece):
     articles_text, edges_text = tables
     data = articles_text.encode(), edges_text.encode()
-    bounds = span or (-sys.maxsize, sys.maxsize)
     with mock.patch.object(corpus_mod, "_EDGE_PIECE", edge_piece):  # edges split and looked up piece by piece
-        assert corpus_mod._read_bytes(*data, *bounds) is not None  # these tables take the byte path
         by_bytes = read_tables(*data, span)
         if span is not None:
             by_bytes_corpus = load_corpus(*data, span)
@@ -306,7 +309,7 @@ def test_byte_path_matches_the_csv_path_and_the_reference(tables, span, edge_pie
 
 BASE_ARTICLES = "\t".join(ARTICLE_HEADER) + "\nA\t2000\tF\tR\tJ\ta1;a2\nB\t2001\tF\tR\tJ\ta2\n"
 BASE_EDGES = "\t".join(EDGE_HEADER) + "\nB\tA\n"
-# Each table the byte path declines, so the csv reader reads it: a result, or the error and line it raises.
+# Tables with a fault or a byte that only the csv module splits: the same result, or error and line, either way.
 DECLINED = {
     "quote": (BASE_ARTICLES + 'C\t2001\tF\tR\tJ\t"a2;a3"\n', BASE_EDGES),
     "cr": (BASE_ARTICLES.replace("\n", "\r\n"), BASE_EDGES),
@@ -348,9 +351,19 @@ def outcome(read):
 @pytest.mark.parametrize("span", [None, (2000, 2001)])
 def test_byte_path_declines_what_the_csv_reader_reads_otherwise(case, span):
     data = [t if isinstance(t, bytes) else t.encode() for t in DECLINED[case]]
-    bounds = span or (-sys.maxsize, sys.maxsize)
-    assert corpus_mod._read_bytes(*data, *bounds) is None
     assert outcome(lambda: read_tables(*data, span)) == outcome(lambda: by_csv(read_tables, *data, span))
+
+
+@pytest.mark.parametrize("article_ids", [["A", "A\0", "B"], ["A", "B"]])
+def test_ids_that_end_in_nul_are_distinct(article_ids):
+    articles = "\t".join(ARTICLE_HEADER) + "".join(f"\n{a}\t2001\tF\tR\tJ\t" for a in article_ids) + "\n"
+    edges = "\t".join(EDGE_HEADER) + "\nB\tA\0\nB\tA\nB\tA\0\0\n"
+    for read in (read_tables, lambda *tables: by_csv(read_tables, *tables)):
+        t = read(articles.encode(), edges.encode(), None)
+        pairs = [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
+        assert t["ids"] == article_ids
+        assert pairs == [("B", cited) for cited in ("A\0", "A", "A\0\0") if cited in article_ids]
+        assert t["drops"]["dangling"] == 3 - len(pairs)
 
 
 def test_duplicate_edges_keep_the_first_copy():
