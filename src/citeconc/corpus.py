@@ -12,7 +12,8 @@ the one row parser: it holds the row, span and edge-drop rules that both
 Two tokenisers split the files' bytes into rows of field bounds (see
 :func:`_split`): numpy splits a file at its tabs and newlines, and the ``csv``
 module reads a file with a ``"``, CR or NUL byte. One checker applies every
-row rule to either form, with the same errors and line numbers.
+row rule to either form, with the same errors and line numbers. Ids, labels
+and names of any length are ranked and looked up by one sort (:func:`_ranks`).
 """
 
 from __future__ import annotations
@@ -292,145 +293,138 @@ def _field(ends: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
 _EDGE_PIECE = 1 << 22
 
 
-# Leading bytes of each string that _ranks and _id_finder compare as big-endian
-# uint64 words; they rank or look up the rest of a longer string in Python.
-_PREFIX = 64
-# _BYTE_MASK[n] keeps the first n bytes of a big-endian uint64 word.
+# _BYTE_MASK[n] keeps the first n bytes of a big-endian uint64 word, _FIRST[n] those in memory of a native one.
 _BYTE_MASK = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+_FIRST = _BYTE_MASK.astype(">u8").view(np.uint64)
 
 
-def _words(buf: np.ndarray, pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The first ``n[i]`` (0 to 8) bytes at ``buf[pos[i]:]`` as a big-endian uint64,
-    zero-padded: one gather of 8-byte windows, not a byte at a time."""
-    if len(buf) < 8:
-        buf = np.concatenate([buf, np.zeros(8, np.uint8)])
+def _windows(buf: np.ndarray, pos: np.ndarray, dtype: str) -> np.ndarray:
+    """The 8 bytes at each ``buf[pos:]`` (zero past its end) as ``dtype``, gathered at once."""
+    buf = np.concatenate([buf, np.zeros(8, np.uint8)]) if len(buf) < 8 else buf
     last = len(buf) - 8
-    word = np.ndarray((last + 1,), ">u8", buf, strides=(1,))[np.minimum(pos, last)]
-    for i in np.flatnonzero((pos > last) & (n > 0)).tolist():  # at most 8 strings start in the last 8 bytes
-        word[i] = int.from_bytes(buf[pos[i]:pos[i] + 8].tobytes().ljust(8, b"\0"), "big")
-    word = word.astype(np.uint64)
-    word &= _BYTE_MASK[n]
+    late = pos > last  # windows that run past the end are read from its last 8 bytes and 8 zeros
+    word = np.ndarray((last + 1,), dtype, buf, strides=(1,))[np.minimum(pos, last) if late.any() else pos]
+    if late.any():
+        tail = np.concatenate([buf[last:], np.zeros(8, np.uint8)])
+        word[late] = np.ndarray((9,), dtype, tail, strides=(1,))[np.minimum(pos[late] - last, 8)]
     return word
 
 
-def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rank, in ascending byte order, of each string ``buf[lo[i]:hi[i]]``,
-    and the first ``i`` holding each rank.
+def _key(buf: np.ndarray, pos: np.ndarray, n: np.ndarray, c: int, run) -> np.ndarray:
+    """The uint64 sort key of the strings of ``n`` bytes at ``buf[pos:]``: the ``run`` each
+    is sorted within, its first ``c`` (at most 7) bytes zero-padded, and ``min(n, c + 1)``,
+    which puts it before the longer strings it starts and tells whether it goes on."""
+    key = _windows(buf, pos, ">u8").astype(np.uint64)
+    key &= _BYTE_MASK[np.clip(n, 0, c)]
+    key >>= 60 - 8 * c
+    key |= np.clip(n, 0, c + 1).view(np.uint64)
+    key |= run << 8 * c + 4
+    return key
 
-    Byte order is Python's str order on UTF-8. Strings are compared on their first
-    _PREFIX bytes as zero-padded words, then on the rest, then on their length:
-    two strings of at most _PREFIX bytes tie on their words only if they differ
-    in trailing NUL bytes, so the length is a key only if some string ends in one."""
-    lengths = hi - lo
-    keys = [lengths] if (buf[hi[hi > lo] - 1] == 0).any() else []
-    long = lengths > _PREFIX
-    if long.any():
-        rests = [buf[a + _PREFIX:b].tobytes() for a, b in zip(lo[long].tolist(), hi[long].tolist())]
-        rest_rank = {r: k for k, r in enumerate(sorted(set(rests)), 1)}
-        rest = np.zeros(len(lengths), np.int64)
-        rest[long] = [rest_rank[r] for r in rests]
-        keys.append(rest)
-    n_words = -(-min(int(lengths.max(initial=0)), _PREFIX) // 8)
-    for k in reversed(range(n_words)):  # np.lexsort sorts on its last key first
-        keys.append(_words(buf, lo + 8 * k, np.clip(lengths - 8 * k, 0, 8)))
-    if not keys:  # every string empty
-        return np.zeros(len(lengths), np.int64), np.zeros(min(len(lengths), 1), np.int64)
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    new = np.zeros(len(order), bool)
-    new[:1] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
-    del keys, key
+
+def _matched(abuf: np.ndarray, apos: np.ndarray, bbuf: np.ndarray, bpos: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """How many of the ``n`` bytes at ``abuf[apos:]`` and ``bbuf[bpos:]`` agree, in whole 8-byte
+    words (``n`` if all); a string's last word ends at its last byte. Rows still agreeing compare
+    blocks of words, which double while they fit the longest and stay below 1/64 of the buffers."""
+    out, live, done, width = n.copy(), np.flatnonzero(n > 0), 0, 1
+    while len(live):
+        size = n[live]
+        at = np.minimum(done + 8 * np.arange(width), np.maximum(size - 8, 0)[:, None])
+        differ = _windows(abuf, apos[live, None] + at, "=u8") ^ _windows(bbuf, bpos[live, None] + at, "=u8")
+        differ &= _FIRST[np.minimum(size, 8)][:, None]  # a string under 8 bytes
+        agree = differ == 0
+        words = np.where(agree.all(1), width, agree.argmin(1))
+        out[live] = np.minimum(size, done + 8 * words)
+        live, done = live[(words == width) & (size > done + 8 * width)], done + 8 * width
+        width = max(1, min(2 * width, -(-(int(n[live].max(initial=0)) - done) // 8),
+                           (len(abuf) + len(bbuf)) // 64 // max(len(live), 1)))
+    return out
+
+
+def _runs(key: np.ndarray, goes_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal keys in the sorted ``key`` starts, and the rows of the
+    runs of two or more whose strings go on past the key's bytes (``goes_on``)."""
+    new = np.ones(len(key), bool)
+    new[1:] = key[1:] != key[:-1]
+    tied = ~new
+    tied[:-1] |= tied[1:]
+    tied &= goes_on
+    return new, np.flatnonzero(tied)
+
+
+def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Dense rank, in ascending byte order (Python's str order on UTF-8), of each string
+    ``buf[lo[i]:hi[i]]``; the first ``i`` holding each rank; and each level's ``(pos, key, off, c)``:
+    sorted positions and their sorted keys of ``c`` bytes at offsets ``off`` (level 0: None, all at 0).
+
+    Level 0 sorts every string on one key of its first 7 bytes (see :func:`_key`). Only
+    runs of equal keys whose strings go on are sorted further, each on one key of its run
+    number and as many bytes as fit beside it, after skipping the words all its strings
+    share: a long string costs nothing unless another shares its start."""
+    n = hi - lo
+    key = _key(buf, lo, n, 7, 0)
+    order = np.argsort(key)
+    key = key[order]
+    new, pos = _runs(key, (n > 7)[order])
+    levels, off = [(None, key, None, 7)], np.full(len(pos), 7)
+    while len(pos):
+        rows = order[pos]
+        start = np.flatnonzero(new[pos])
+        run = np.cumsum(new[pos], dtype=np.uint64) - 1
+        lead = rows[start][run]
+        shared = _matched(buf, lo[rows] + off, buf, lo[lead] + off, np.minimum(n[rows], n[lead]) - off)
+        off += np.minimum.reduceat(shared, start)[run]
+        c = min(7, (60 - int(run[-1]).bit_length()) // 8)
+        key = _key(buf, lo[rows] + off, n[rows] - off, c, run)
+        by_key = np.argsort(key)  # within each run, as the run is the key's top bits
+        order[pos] = rows[by_key]
+        key = key[by_key]
+        level_new, tied = _runs(key, (n[rows] - off > c)[by_key])
+        new[pos] |= level_new
+        levels.append((pos, key, off, c))
+        pos, off = pos[tied], off[tied] + c
+    del n, key
     first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(order) else order
     rank = np.empty(len(order), np.int64)
-    new = np.cumsum(new) - 1
-    rank[order] = new
-    return rank, first
+    rank[order] = np.cumsum(new) - 1
+    return rank, first, levels
 
 
-def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               nul: bool) -> tuple[Callable[..., np.ndarray], list[int]]:
-    """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of
-    the equal id ``buf[lo[i]:hi[i]]``, or -1; and the first ``i`` whose id repeats
-    an earlier one, if any. ``nul``: whether a range may end in a NUL byte.
-
-    Ids of at most _PREFIX bytes are sorted stably on their zero-padded words, and
-    on their length if an id or a range may end in a NUL byte (the words do not
-    tell those apart), and searched a word at a time, with the rank of each word
-    among the ids' words at that level and the first sorted id that shares the
-    words so far as the key (at the first level, read from a table of where each
-    rank starts). Longer ids are found in a dict."""
-    n = hi - lo
-    long = n > _PREFIX
-    long_ids: dict[bytes, int] = {}
-    repeats = [i for i, a, b in zip(np.flatnonzero(long).tolist(), lo[long].tolist(), hi[long].tolist())
-               if long_ids.setdefault(buf[a:b].tobytes(), i) != i]
-    short = np.flatnonzero(~long)
-    max_len = int(n[short].max(initial=-1))
-    nul = nul or bool((buf[hi[short][n[short] > 0] - 1] == 0).any())
-
-    def words_of(fbuf: np.ndarray, flo: np.ndarray, fn: np.ndarray) -> list[np.ndarray]:
-        return [_words(fbuf, flo + k, np.clip(fn - k, 0, 8)) for k in range(0, max_len, 8)] + ([fn] if nul else [])
-
-    words = words_of(buf, lo[short], n[short])
-    order = np.lexsort(words[::-1]) if words else np.arange(len(short))
-    row = short[order]
-    levels = []
-    prefix = np.zeros(len(short), np.int64)  # the first sorted id with the same words so far
-    for word in words:
-        word = word[order]
-        values = np.sort(word)  # np.unique would take its slower hash path
-        values = values[np.diff(values, prepend=values[:1] + 1) != 0]
-        key = prefix * len(values) + np.searchsorted(values, word)
-        prefix = np.searchsorted(key, key)
-        levels.append((values, key))
-    del words, order
-    repeats += row[1:][np.diff(prefix) == 0].tolist()  # equal ids are adjacent, in the order they came
-    if levels:  # the first level keeps where each rank starts, with one more entry for a word above them all
-        levels[0] = (levels[0][0], np.searchsorted(levels[0][1], np.arange(len(levels[0][0]) + 1)))
+def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[Callable[..., np.ndarray], list[int]]:
+    """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of the equal
+    id ``buf[lo[i]:hi[i]]``, or -1; and the first ``i`` whose id repeats an earlier one, if any.
+    A range is searched for its key at each level of :func:`_ranks` that its run of ids goes
+    on to, then compared in full with the id it found unless its level-0 key holds all of it."""
+    rank, row, levels = _ranks(buf, lo, hi)  # distinct ids: the rank is the sorted position
+    repeat = np.flatnonzero(row[rank] != np.arange(len(rank)))[:1].tolist()
+    levels[0] = (np.arange(len(row)), levels[0][1], np.broadcast_to(np.int64(0), row.shape), 7)  # one run at offset 0
 
     def find(fbuf: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
         fn = fhi - flo
         out = np.full(len(fn), -1, np.int64)
-        for i in np.flatnonzero(fn > _PREFIX).tolist():
-            out[i] = long_ids.get(fbuf[flo[i]:fhi[i]].tobytes(), -1)
-        todo = np.flatnonzero(fn <= max_len)
-        words = words_of(fbuf, flo[todo], fn[todo])
-        # Sorted probes make searchsorted far faster; each level's probes stay sorted.
-        order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1]) if words else slice(None)
-        todo = todo[order]
-        found = np.ones(len(todo), bool)
-        at = np.zeros(len(todo), np.int64)
-        for level, (word, (values, key)) in enumerate(zip(words, levels)):
-            word = word[order]
-            probe = np.searchsorted(values, word)
-            found &= values[np.minimum(probe, len(values) - 1)] == word
-            if level == 0:
-                at = key[probe]
-                continue
-            probe += at * len(values)
-            at = np.searchsorted(key, probe)
-            found &= key[np.minimum(at, len(key) - 1)] == probe
-        out[todo[found]] = row[at[found]]
+        if not len(row):
+            return out
+        probe, at, found = np.arange(len(fn)), np.zeros(len(fn), np.int64), []
+        for pos, key, off, c in levels:
+            j = np.minimum(np.searchsorted(pos, at), len(pos) - 1)
+            on = pos[j] == at  # the ranges whose run of ids goes on to this level
+            found.append((probe[~on], at[~on]))
+            probe, j = probe[on], j[on]
+            q = _key(fbuf, flo[probe] + off[j], fn[probe] - off[j], c, key[j] >> 8 * c + 4)
+            by_key = np.argsort(q)  # sorted probes make searchsorted far faster
+            probe, q = probe[by_key], q[by_key]
+            k = np.minimum(np.searchsorted(key, q), len(key) - 1)
+            hit = key[k] == q
+            probe, at = probe[hit], pos[k[hit]]  # where the run of ids with the range's key starts
+        probe, at = (np.concatenate(a) for a in zip(*found, (probe, at)))
+        i = row[at]
+        check = np.flatnonzero((fn[probe] > 7) & (fn[probe] == hi[i] - lo[i]))
+        same = fn[probe] <= 7
+        same[check] = _matched(fbuf, flo[probe[check]], buf, lo[i[check]], fn[probe[check]]) == fn[probe[check]]
+        out[probe[same]] = i[same]
         return out
 
-    return find, sorted(repeats)[:1]
-
-
-def _same(buf: np.ndarray, alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
-    """Whether ``buf[alo[i]:ahi[i]] == buf[blo[i]:bhi[i]]``, compared a word at a time."""
-    n = ahi - alo
-    same = np.zeros(len(n), bool)
-    rows = np.flatnonzero(n == bhi - blo)  # equal so far
-    for k in itertools.count(0, 8):
-        done = n[rows] <= k
-        same[rows[done]] = True
-        rows = rows[~done]
-        if not len(rows):
-            return same
-        m = np.clip(n[rows] - k, 0, 8)
-        rows = rows[_words(buf, alo[rows] + k, m) == _words(buf, blo[rows] + k, m)]
+    return find, repeat
 
 
 def _first_use_codes(rank: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,7 +448,7 @@ def _years(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, lis
     """The year in each byte range ``data[lo[i]:hi[i]]``, read with ``int`` once per
     distinct string, and ``(i, message)`` of the first that is unparsable or outside
     int32, if any."""
-    rank, first = _ranks(np.frombuffer(data, np.uint8), lo, hi)
+    rank, first, _ = _ranks(np.frombuffer(data, np.uint8), lo, hi)
     value, errors = np.zeros(len(first), np.int64), []
     for r, (i, text) in enumerate(zip(first.tolist(), _decode(data, lo[first], hi[first]))):
         try:
@@ -478,7 +472,7 @@ def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, n
     abuf = np.frombuffer(data, np.uint8)
     year, errors = _years(data, *_field(ends, 1))
     errors += [(i, "empty field label") for i in np.flatnonzero(ends[:, 3] == ends[:, 2] + 1)[:1].tolist()]
-    find, repeat = _id_finder(abuf, *_field(ends, 0), b"\0" in edges)
+    find, repeat = _id_finder(abuf, *_field(ends, 0))
     errors += [(i, f"duplicate article id {data[ends[i, 0] + 1:ends[i, 1]].decode()!r}") for i in repeat]
     if errors:  # the earliest row's; in a row, the first of year, field and id
         row, message = min(errors, key=lambda e: e[0])
@@ -494,21 +488,25 @@ def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, n
         if bad is not None:
             raise bad
         ebuf = np.frombuffer(edata, np.uint8)
-        loop = _same(ebuf, *_field(edge_ends, 0), *_field(edge_ends, 1))
+        (alo, ahi), (blo, bhi) = _field(edge_ends, 0), _field(edge_ends, 1)
+        a, b = find(ebuf, alo, ahi), find(ebuf, blo, bhi)
+        loop = (a == b) & (a >= 0)  # both ends one article; ends that are no article are compared as bytes
+        none = np.flatnonzero((a < 0) & (b < 0) & (ahi - alo == bhi - blo))
+        loop[none] = _matched(ebuf, alo[none], ebuf, blo[none], ahi[none] - alo[none]) == ahi[none] - alo[none]
         self_loops += int(loop.sum())
-        edge_ends = edge_ends[~loop]
-        citing.append(row_of[find(ebuf, *_field(edge_ends, 0))])
-        cited.append(row_of[find(ebuf, *_field(edge_ends, 1))])
-        del edge_ends, loop  # before the next piece's arrays exist
+        citing.append(row_of[a[~loop]])
+        cited.append(row_of[b[~loop]])
+        del edge_ends, alo, ahi, blo, bhi, a, b, loop  # before the next piece's arrays exist
 
     ends = ends[kept]
-    columns = dict(ids=_decode(data, *_field(ends, 0)), pub_year=year[kept].astype(np.int32))
+    columns = dict(ids=None, pub_year=year[kept].astype(np.int32))
     for col, codes, labels in ((2, "field_code", "fields"), (3, "region_code", "regions"),
                                (4, "journal_code", "journals")):
         lo, hi = _field(ends, col)
-        label_rank, label_row = _ranks(abuf, lo, hi)
+        label_rank, label_row, _ = _ranks(abuf, lo, hi)
         columns[codes], by_code = _first_use_codes(label_rank, label_row)
         columns[labels] = _decode(data, lo[label_row[by_code]], hi[label_row[by_code]])
+    columns["ids"] = _decode(data, *_field(ends, 0))  # after the labels' ranks: the strings would add to their peak
     columns["author_fields"] = (data, *_field(ends, 5))
     return columns, np.concatenate(citing), np.concatenate(cited), self_loops, len(year)
 
@@ -582,7 +580,7 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     tok_lo, tok_hi = tok_lo[named], tok_hi[named]
     del named
 
-    rank, first = _ranks(buf, tok_lo, tok_hi)
+    rank, first, _ = _ranks(buf, tok_lo, tok_hi)
     article = np.searchsorted(lo, tok_lo, "right") - 1  # after _ranks, whose arrays set load_corpus' peak
     names = _decode(data, tok_lo[first], tok_hi[first])
     del tok_lo, tok_hi
@@ -605,6 +603,7 @@ def load_corpus(articles: bytes, edges: bytes, span: tuple[int, int]) -> Corpus:
     """Read article and edge TSV tables, the UTF-8 bytes of both files, into an indexed corpus:
     :func:`read_tables`, then each article's distinct authors coded in name order, and self-citations."""
     tables = read_tables(articles, edges, span)
+    del edges  # nothing reads it past read_tables: the author and self-edge passes run without this reference
     author_ptr, author_code, authors = _code_authors(*tables.pop("author_fields"))
     return Corpus(
         **tables,

@@ -19,59 +19,46 @@ from __future__ import annotations
 import numpy as np
 
 from citeconc.corpus import Corpus
-from citeconc.windows import WindowSpec, in_window_edge_mask
+# in_window_edge_mask builds the ``mask`` each function takes; perfbench/test_smoke.py reads it here.
+from citeconc.windows import in_window_edge_mask  # noqa: F401
 
 RHO_SCOPE_STUDY = "study"
 RHO_SCOPE_ALL_EDGES = "all_edges"
 
 
-def year_weights(corpus: Corpus, exclude_self: bool = False) -> dict[int, float]:
-    """Inverse total-citation weight per citing year; zero-citation years are absent."""
-    if corpus.n_edges == 0:
-        return {}
-    cy = corpus.citing_year
-    if exclude_self:
-        cy = cy[~corpus.self_edge]
-    years, counts = np.unique(cy, return_counts=True)
-    return {int(y): 1.0 / int(c) for y, c in zip(years, counts)}
+def year_weights(corpus: Corpus, exclude_self: bool = False) -> np.ndarray:
+    """Inverse total-citation weight of each year ``y`` of the span, at ``y - span[0]``:
+    1 / (citations made in ``y``, without self-citations if ``exclude_self``), or 0
+    in a year with none."""
+    citing_year = corpus.citing_year[~corpus.self_edge] if exclude_self else corpus.citing_year
+    counts = np.bincount(citing_year - corpus.span[0], minlength=corpus.span[1] - corpus.span[0] + 1)
+    return np.divide(1.0, counts, out=np.zeros(len(counts)), where=counts > 0)
 
 
-def _rho_lookup(corpus: Corpus, weights: dict[int, float]) -> np.ndarray:
-    start, end = corpus.span
-    rho = np.zeros(end - start + 1)
-    for y, v in weights.items():
-        rho[y - start] = v
-    return rho
+def ics_array(corpus: Corpus, mask: np.ndarray, *, exclude_self: bool, rho_scope: str) -> np.ndarray:
+    """Year-weighted citation score of every article in the corpus over the edges
+    in ``mask``, an ``in_window_edge_mask``.
 
-
-def ics_array(corpus: Corpus, w: WindowSpec, *, exclude_self: bool, rho_scope: str,
-              mask: np.ndarray | None = None) -> np.ndarray:
-    """Year-weighted in-window citation score of every article in the corpus.
-
-    Self-citations are left out of the counted citations when ``exclude_self``
-    is set, and also out of the year weights unless ``rho_scope`` is
-    ``all_edges``. ``mask``, if given, is ``in_window_edge_mask`` of ``w`` and
-    ``exclude_self``, already computed.
+    Self-citations are left out of the year weights when ``exclude_self`` is set,
+    unless ``rho_scope`` is ``all_edges``.
     """
-    rho = _rho_lookup(corpus, year_weights(corpus, exclude_self=exclude_self and rho_scope == RHO_SCOPE_STUDY))
-    if mask is None:
-        mask = in_window_edge_mask(corpus, w.length, exclude_self=exclude_self)
+    rho = year_weights(corpus, exclude_self=exclude_self and rho_scope == RHO_SCOPE_STUDY)
     wts = rho[corpus.citing_year[mask] - corpus.span[0]]
     counts = np.bincount(corpus.cited[mask], weights=wts, minlength=corpus.n_articles)
     return counts.astype(np.float64, copy=False)
 
 
-def nics_array(corpus: Corpus, cohort_idx: np.ndarray, w: WindowSpec, *, exclude_self: bool,
-               mics_per_year: bool, rho_scope: str, mask: np.ndarray | None = None) -> np.ndarray:
-    """Field-normalized scores for the given cohort indices: each ics divided by
-    the mean ics of its field in the cohort, or of its field and publication
-    year when ``mics_per_year`` is set.
+def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, exclude_self: bool,
+               mics_per_year: bool, rho_scope: str) -> np.ndarray:
+    """Field-normalized scores for the given cohort indices: each ics (see
+    :func:`ics_array`) divided by the mean ics of its field in the cohort, or of
+    its field and publication year when ``mics_per_year`` is set.
 
     Fields whose cohort members are all uncited get score 0 throughout.
     """
     if len(cohort_idx) == 0:
         raise ValueError("empty cohort")
-    scores = ics_array(corpus, w, exclude_self=exclude_self, rho_scope=rho_scope, mask=mask)[cohort_idx]
+    scores = ics_array(corpus, mask, exclude_self=exclude_self, rho_scope=rho_scope)[cohort_idx]
     if mics_per_year:
         n_years = corpus.span[1] - corpus.span[0] + 1
         group = corpus.field_code[cohort_idx].astype(np.int64) * n_years + (corpus.pub_year[cohort_idx] - corpus.span[0])
@@ -84,20 +71,17 @@ def nics_array(corpus: Corpus, cohort_idx: np.ndarray, w: WindowSpec, *, exclude
     return np.divide(scores, denom, out=np.zeros_like(scores), where=denom > 0)
 
 
-def field_mean_reference_table(corpus: Corpus, length: int, exclude_self: bool = False,
-                               mask: np.ndarray | None = None) -> np.ndarray:
-    """Mean in-window outgoing reference count per (field, publication year) cell.
+def field_mean_reference_table(corpus: Corpus, mask: np.ndarray) -> np.ndarray:
+    """Mean outgoing reference count over the edges in ``mask``, an
+    ``in_window_edge_mask``, per (field, publication year) cell.
 
-    Shape (n_fields, span length); cells with no articles are 0. ``mask``, if
-    given, is ``in_window_edge_mask`` of ``length`` and ``exclude_self``.
+    Shape (n_fields, span length); cells with no articles are 0.
     """
     start, end = corpus.span
     n_years = end - start + 1
     n_fields = len(corpus.fields)
     art_group = corpus.field_code.astype(np.int64) * n_years + (corpus.pub_year - start)
     counts = np.bincount(art_group, minlength=n_fields * n_years)
-    if mask is None:
-        mask = in_window_edge_mask(corpus, length, exclude_self)
     refs = np.bincount(art_group[corpus.citing[mask]], minlength=n_fields * n_years)
     means = np.divide(refs, counts, out=np.zeros(n_fields * n_years), where=counts > 0)
     return means.reshape(n_fields, n_years)

@@ -173,8 +173,8 @@ def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
         # Field means are summed over the pooled cohorts in ascending article order.
         pooled = np.sort(order[:at[len(years)]])
         if cfg.normalized and len(pooled):
-            scores[pooled] = nics_array(work, pooled, cfg.window, exclude_self=cfg.exclude_self_citations,
-                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope, mask=mask)
+            scores[pooled] = nics_array(work, pooled, mask, exclude_self=cfg.exclude_self_citations,
+                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope)
         for y in years:
             pop = order[at[y - start]:at[y - start + 1]]
             yield y, pop, raw[pop], scores[pop]
@@ -183,7 +183,7 @@ def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
     citing_year = work.citing_year[edges]
     edge_at = np.searchsorted(citing_year, np.arange(start, end + 2, dtype=citing_year.dtype))
     if cfg.normalized:
-        mref = field_mean_reference_table(work, cfg.window.length, exclude_self=cfg.exclude_self_citations, mask=mask)
+        mref = field_mean_reference_table(work, mask)
         weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
     for y in range(start, end + 1):
         pub = cited_population_backward(y, work.span, cfg.window)

@@ -30,6 +30,7 @@ from citeconc.windows import (
     WindowSpec,
     cited_population_backward,
     eligible_pub_years_forward,
+    in_window_edge_mask,
 )
 from conftest import make_corpus
 from oracle import end_to_end_change
@@ -103,7 +104,8 @@ def test_c3_field_mean_is_one():
         w = WindowSpec("forward", length)
         years = list(eligible_pub_years_forward(corpus.span, w))
         idx = np.flatnonzero(np.isin(corpus.pub_year, years))
-        scores = nics_array(corpus, idx, w, exclude_self=False, mics_per_year=False, rho_scope="study")
+        mask = in_window_edge_mask(corpus, w.length)
+        scores = nics_array(corpus, idx, mask, exclude_self=False, mics_per_year=False, rho_scope="study")
         for code in range(len(corpus.fields)):
             members = scores[corpus.field_code[idx] == code]
             if len(members) and members.sum() > 0:

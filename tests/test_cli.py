@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from citeconc import normalize, studies, synthgen
+from citeconc import studies, synthgen
 from citeconc.cli import main
 from citeconc.corpus import Corpus
 from citeconc.config import build_run, parse_config
@@ -481,7 +481,6 @@ def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, mon
 
     monkeypatch.setattr(studies, "in_window_edge_mask", counted_mask)
     monkeypatch.setattr(studies, "_rows", counted_rows)
-    monkeypatch.setattr(normalize, "in_window_edge_mask", counted_mask)  # only when no mask is passed
     monkeypatch.setattr(studies, "filter_core_journals", counted_core)
     monkeypatch.setattr(Corpus, "subset", counted_subset)
     assert main(["analyze", str(cfg)]) == 0

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import tempfile
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -94,18 +95,39 @@ def test_corpus_constructor_rejects_duplicate_ids():
 
 def test_one_long_id_does_not_widen_the_id_column(tmp_path):
     # A fixed-width string column would give each of the 10,001 ids 4,096 characters.
-    long_id = "L" * 4096
+    long_id, huge_id = "L" * 4096, "H" * 100_000
     ids = [f"a{i:05d}" for i in range(10_000)]
     ids.insert(5_000, long_id)
+    ids.insert(7_000, huge_id)
     ap, ep = tmp_path / "a.tsv", tmp_path / "e.tsv"
     ap.write_text(ART_HEADER + "".join(f"{a}\t2000\tF\tR\tJ\t\n" for a in ids))
-    ep.write_text(EDGE_HEADER + f"{long_id}\ta00000\n")
+    ep.write_text(EDGE_HEADER + f"{long_id}\ta00000\na00001\t{huge_id}\n{huge_id[:-1]}\ta00001\n")
     corpus = load_corpus_files(str(ap), str(ep), (2000, 2000))
     half = corpus.subset(np.arange(corpus.n_articles) % 2 == 0)
     for c in (corpus, half):
         assert c.ids.nbytes < 1 << 20
         assert long_id in c.ids.tolist()
     assert corpus.ids[corpus.citing[0]] == long_id
+    assert corpus.ids[corpus.cited[1]] == huge_id
+    assert corpus.n_edges == 2 and corpus.drops["dangling"] == 1  # an id's first 99,999 bytes are no id
+
+
+def test_one_long_author_name_does_not_widen_the_name_keys():
+    # Each name is ranked on keys of a fixed width: one 100,000-byte name adds about
+    # its own bytes to the author pass's peak, not its length to every name's keys.
+    def peak(fields):
+        data = "\t".join(fields).encode()
+        hi = np.cumsum([len(f.encode()) + 1 for f in fields]) - 1
+        lo = hi - [len(f.encode()) for f in fields]
+        tracemalloc.start()
+        try:
+            corpus_mod._code_authors(data, lo, hi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fields = [f"a{i % 9000};b{i % 7000}" for i in range(100_000)]
+    assert peak(fields[:50_000] + ["N" * 100_000] + fields[50_000:]) <= 1.25 * peak(fields)
 
 
 def test_malformed_rows_report_line_numbers():
@@ -279,14 +301,16 @@ def test_write_tables_writes_what_csv_writer_writes(tmp_path, fixture_corpus, wr
 
 
 NAMES = st.sampled_from(["a", "a\0", "a\0\0", "b", "", "é", "李", "x" * 64, "x" * 64 + "a", "x" * 64 + "a\0",
-                         "x" * 70, "x" * 63 + "é", "y" * 9])
+                         "x" * 70, "x" * 70 + "\0", "x" * 63 + "é", "y" * 9, "w" * 128 + "a tail", "w" * 128 + "b",
+                         "w" * 128 + "a"])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(NAMES, max_size=6).map(";".join), max_size=8), st.sampled_from(["", "\t", "q;r\n", ";;x;"]))
 def test_code_authors_matches_the_per_article_loop(fields, gap):
-    """Names ending in NUL bytes, longer than the word-compared prefix or non-ASCII,
-    and ``;`` between the fields, which belong to no field."""
+    """Names ending in NUL bytes (also past byte 64), sharing their first 128 bytes
+    or a 129-byte prefix, or non-ASCII, and ``;`` between the fields, which belong
+    to no field."""
     data, lo, hi = gap.encode(), [], []
     for text in fields:
         lo.append(len(data))

@@ -15,13 +15,14 @@ def nics(cohort, w, corpus, exclude_self=False, mics_per_year=False, rho_scope="
     """The library's normalized score per article id of a cohort."""
     row = id_index(corpus)
     idx = np.asarray([row[a] for a in cohort], dtype=np.int64)
-    scores = nics_array(corpus, idx, w, exclude_self=exclude_self, mics_per_year=mics_per_year, rho_scope=rho_scope)
+    mask = in_window_edge_mask(corpus, w.length, exclude_self)
+    scores = nics_array(corpus, idx, mask, exclude_self=exclude_self, mics_per_year=mics_per_year, rho_scope=rho_scope)
     return dict(zip(cohort, scores.tolist()))
 
 
 def field_mean_references(corpus, field, ref_year, w, exclude_self=False):
     """One cell of the library's field mean reference table."""
-    table = field_mean_reference_table(corpus, w.length, exclude_self)
+    table = field_mean_reference_table(corpus, in_window_edge_mask(corpus, w.length, exclude_self))
     return float(table[corpus.fields.index(field), ref_year - corpus.span[0]])
 
 
@@ -36,34 +37,35 @@ def backward_scores(corpus, ref_year, w, exclude_self=False):
 
 def test_year_weights_fixture(fixture_corpus):
     # citing years: 2001 x1, 2002 x2, 2003 x2
-    assert year_weights(fixture_corpus) == {2001: 1.0, 2002: 0.5, 2003: 0.5}
+    assert fixture_corpus.span == (2000, 2004)
+    assert year_weights(fixture_corpus).tolist() == [0.0, 1.0, 0.5, 0.5, 0.0]
 
 
 def test_year_weights_excluding_self(fixture_corpus):
     # C->A (2001) is the only self-citation
     w = year_weights(fixture_corpus, exclude_self=True)
-    assert 2001 not in w
-    assert w == {2002: 0.5, 2003: 0.5}
+    assert w[2001 - 2000] == 0.0
+    assert w.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
 
 
 def test_year_weights_empty():
     arts = "id\tpub_year\tfield\tregion\tjournal_id\tauthor_ids\nA\t2000\tF\tR\tJ\t\n"
     c = make_corpus(arts, "citing_id\tcited_id\n", span=(2000, 2001))
-    assert year_weights(c) == {}
+    assert year_weights(c).tolist() == [0.0, 0.0]
 
 
 def test_ics_fixture(fixture_corpus):
     c = fixture_corpus
-    scores = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
+    scores = ics_array(c, in_window_edge_mask(c, 2), exclude_self=False, rho_scope="study")
     row = id_index(c)
     # A: 1 cite in 2001 (rho 1.0) + 1 in 2002 (rho 0.5)
     assert scores[row["A"]] == pytest.approx(1.5)
     assert scores[row["B"]] == pytest.approx(0.5)
     assert scores[row["C"]] == pytest.approx(0.5)
     assert scores[row["D"]] == 0.0
-    # The mask a score table already holds gives the same scores.
-    masked = ics_array(c, FWD2, exclude_self=False, rho_scope="study", mask=in_window_edge_mask(c, 2))
-    assert masked.tolist() == scores.tolist()
+    # Self-citations left out of the mask and of the year weights: C->A (2001) goes.
+    masked = ics_array(c, in_window_edge_mask(c, 2, exclude_self=True), exclude_self=True, rho_scope="study")
+    assert masked.tolist() == [0.5 if i in (row["A"], row["B"], row["C"]) else 0.0 for i in range(c.n_articles)]
 
 
 def test_nics_fixture_manual(fixture_corpus):
@@ -108,7 +110,7 @@ def test_nics_invariant_under_uniform_rho_scaling(fixture_corpus):
     cohort = ["A", "B", "C", "D"]
     base = {a: oracle.ics(t, a, 2, w) for a in cohort}
     scaled = {a: oracle.ics(t, a, 2, {y: 3.7 * v for y, v in w.items()}) for a in cohort}
-    library = ics_array(c, FWD2, exclude_self=False, rho_scope="study")
+    library = ics_array(c, in_window_edge_mask(c, FWD2.length), exclude_self=False, rho_scope="study")
     row = id_index(c)
     assert base == pytest.approx({a: library[row[a]] for a in cohort}, rel=1e-12)
 

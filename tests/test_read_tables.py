@@ -238,18 +238,20 @@ def check_against_the_reference(articles_text, edges_text, span):
 
 # -- the byte path against the csv tokeniser -----------------------------------
 
-# Ids of one and two 8-byte words, and past the 64 bytes compared as words, and the empty id.
-BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7", ""]
+# Ids of one and two 8-byte words, past 64 bytes, two that share their first 128 bytes, and the empty id.
+BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7", "w" * 128 + "a tail",
+            "w" * 128 + "b", ""]
 # Never articles (dangling): short, a prefix of an id, equal to an id in its first word, past
-# the longest id of at most 64 bytes, and past 64 bytes.
-NOT_IDS = ["X", "an id of", "an id of 2 wordz", "an id of 2 words!", "z" * 69]
+# 64 bytes, an id's first 129 bytes, and an id with a NUL after its 71 bytes (which the csv
+# tokeniser reads).
+NOT_IDS = ["X", "an id of", "an id of 2 wordz", "an id of 2 words!", "z" * 69, "w" * 128 + "a", "z" * 70 + "7\0"]
 AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"]), max_size=5).map(";".join)
 
 
 @st.composite
 def clean_tables(draw):
-    """Article and edge TSV text with no quote, CR or NUL and no fault, which numpy
-    splits: empty, repeated and non-ASCII author names, empty region and
+    """Article and edge TSV text with no quote or CR and no fault, which numpy splits
+    unless an edge holds the id that ends in NUL: empty, repeated and non-ASCII author names, empty region and
     journal labels, blank lines, every edge drop reason and a last line with or
     without a newline."""
     ids = draw(st.lists(st.sampled_from(BYTE_IDS), unique=True, max_size=7))

@@ -18,7 +18,7 @@ from citeconc.studies import (
     top_share_series,
     uncited_share_series,
 )
-from citeconc.windows import WindowSpec
+from citeconc.windows import WindowSpec, in_window_edge_mask
 from conftest import make_corpus
 
 ART_HEADER = "id\tpub_year\tfield\tregion\tjournal_id\tauthor_ids\n"
@@ -420,7 +420,8 @@ def test_mean_nics_one_within_study_cohort():
     w = WindowSpec("forward", 3)
     years = list(eligible_pub_years_forward(corpus.span, w))
     idx = np.flatnonzero(np.isin(corpus.pub_year, years))
-    scores = nics_array(corpus, idx, w, exclude_self=False, mics_per_year=False, rho_scope="study")
+    mask = in_window_edge_mask(corpus, w.length)
+    scores = nics_array(corpus, idx, mask, exclude_self=False, mics_per_year=False, rho_scope="study")
     for code in np.unique(corpus.field_code[idx]):
         members = scores[corpus.field_code[idx] == code]
         if members.sum() > 0:
