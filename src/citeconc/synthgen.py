@@ -1,10 +1,10 @@
 """Deterministic synthetic citation-corpus generator.
 
-Articles are created year by year; each article draws its reference targets
-without replacement from previously published articles, with probability
-proportional to (in-degree + a)^exponent times an optional recency decay.
-Self-citations are injected by sharing an author id between the citing article
-and a sampled fraction of its targets. Everything derives from one seed.
+Articles are created year by year; each article draws its reference targets without replacement from
+previously published articles, with probability proportional to (in-degree + a)^exponent times an optional
+recency decay. Draws are looked up only as far as a row can keep them: its first quota + 2, and the rest only
+if those hold too few distinct articles. Self-citations are injected by sharing an author id between the
+citing article and a sampled fraction of its targets. Everything derives from one seed.
 """
 
 from __future__ import annotations
@@ -67,16 +67,43 @@ class GenParams:
             raise ValueError("attachment constant must be >= 0")
 
 
-def _first_distinct(draws: np.ndarray, quota: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep, per row, the first `quota` distinct values of the non-negative `draws` in draw order (of
-    equal values, the earliest drawn). Returns (keep mask over draws, per-row number kept)."""
-    order = np.argsort(draws, axis=1, kind="stable")  # stable: equal values stay in draw order
-    vs = np.take_along_axis(draws, order, axis=1)
-    head = np.diff(vs, axis=1, prepend=-1) != 0
-    keep = np.empty_like(head)
-    np.put_along_axis(keep, order, head, axis=1)
-    keep &= np.cumsum(keep, axis=1) <= quota[:, None]
-    return keep, keep.sum(axis=1)
+def _first_distinct(row: np.ndarray, draws: np.ndarray, quota: np.ndarray) -> np.ndarray:
+    """Mask of the first `quota[row]` distinct values of each row's non-negative `draws` (of equal values, the
+    earliest drawn); the cells come by ascending row, in draw order within a row."""
+    key = row * (int(draws.max(initial=0)) + 1) + draws
+    order = np.argsort(key, kind="stable")  # stable: equal values stay in draw order
+    head = np.empty(len(key), dtype=bool)
+    head[order] = np.diff(key[order], prepend=-1) != 0
+    seen = np.cumsum(head)
+    before = np.maximum.accumulate(np.where(np.diff(row, prepend=-1) != 0, seen - head, 0))  # in earlier rows
+    return head & (seen - before <= quota[row])
+
+
+def _kept_draws(u: np.ndarray, quota: np.ndarray, cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, cdf bin) of the first `quota` distinct bins each row of uniforms `u` falls in, by row and in draw
+    order. A row's columns from quota + 2 on are looked up only if the first ones fall short."""
+    def lookup(v):
+        order = np.argsort(v)  # sorted queries make searchsorted far faster
+        out = np.empty(len(v), dtype=np.int64)
+        out[order] = np.minimum(np.searchsorted(cdf, v[order]), len(cdf) - 1)  # scattered back to draw order
+        return out
+    looked = np.arange(u.shape[1]) < quota[:, None] + 2
+    row = np.nonzero(looked)[0]
+    value = lookup(u[looked])
+    keep = _first_distinct(row, value, quota)
+    short = np.bincount(row[keep], minlength=len(u)) < quota
+    if not short.any():
+        return row[keep], value[keep]
+    # A short row keeps what it kept and can only add later draws: look those up and dedup the row again.
+    s = np.flatnonzero(short)
+    full = np.empty((len(s), u.shape[1]), dtype=np.int64)
+    full[looked[s]] = value[short[row]]
+    full[~looked[s]] = lookup(u[s][~looked[s]])
+    again = _first_distinct(np.repeat(s, u.shape[1]), full.ravel(), quota)
+    keep &= ~short[row]
+    row = np.concatenate([row[keep], np.repeat(s, u.shape[1])[again]])
+    order = np.argsort(row, kind="stable")
+    return row[order], np.concatenate([value[keep], full.ravel()[again]])[order]
 
 
 def generate(params: GenParams) -> Corpus:
@@ -149,24 +176,15 @@ def generate(params: GenParams) -> Corpus:
         cdf /= cdf[-1]
 
         n_cols = int(quota.max()) + max(4, int(quota.max()) // 2)
-        u = rng.random(a_count * n_cols)
-        order = np.argsort(u)  # sorted queries make searchsorted far faster
-        draws = np.empty(len(u), dtype=np.int64)
-        draws[order] = np.searchsorted(cdf, u[order])  # scattered back to draw order
-        draws = draws.reshape(a_count, n_cols)
-        del u, order  # else the last year's copies are still held at the generator's memory peak
-        np.clip(draws, 0, n_prior - 1, out=draws)
-        keep, got = _first_distinct(draws, quota)
-        citing = year_first[t] + np.repeat(np.arange(a_count), got)
-        cited = draws[keep]
-        deficit_rows = np.flatnonzero(got < quota)
+        row, cited = _kept_draws(rng.random((a_count, n_cols)), quota, cdf)
+        citing = year_first[t] + row
+        deficit_rows = np.flatnonzero(np.bincount(row, minlength=a_count) < quota)
         if len(deficit_rows):
             extra_citing, extra_cited = [], []
             for i in deficit_rows:
-                have = set(draws[i][keep[i]].tolist())
+                have = set(cited[np.searchsorted(row, i):np.searchsorted(row, i, "right")].tolist())
                 while len(have) < quota[i]:
-                    c = int(np.searchsorted(cdf, rng.random()))
-                    c = min(c, n_prior - 1)
+                    c = min(int(np.searchsorted(cdf, rng.random())), n_prior - 1)
                     if c not in have:
                         have.add(c)
                         extra_citing.append(year_first[t] + i)
@@ -187,6 +205,12 @@ def generate(params: GenParams) -> Corpus:
     cited = np.concatenate(cited_parts) if cited_parts else np.zeros(0, dtype=np.int64)
     del citing_parts, cited_parts
 
+    author_keys = np.sort(np.concatenate(author_keys))
+    author_keys = author_keys[np.diff(author_keys, prepend=-1) != 0]  # not np.unique: its int64 hash path is slow
+    author_ptr = np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))])
+    author_code = author_keys % n_codes
+    self_edge = _compute_self_edges(author_ptr, author_code, citing, cited)  # the memory peak: before the ids
+
     # Ids "p000000", ...: digits in byte rows split into strings, 2^16 at a time (whole-column temporaries
     # raised the generator's peak RSS by 10 MB at 302k articles).
     width = max(6, len(str(n_total)))
@@ -197,11 +221,6 @@ def generate(params: GenParams) -> Corpus:
         cells[:, 1:-1] = number[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
         cells[:, -1] = ord("\n")
         ids[lo:lo + len(number)] = cells.tobytes().decode("ascii").split("\n")[:-1]
-    author_keys = np.sort(np.concatenate(author_keys))
-    author_keys = author_keys[np.diff(author_keys, prepend=-1) != 0]  # not np.unique: its int64 hash path is slow
-    author_ptr = np.concatenate([[0], np.cumsum(np.bincount(author_keys // n_codes, minlength=n_total))])
-    author_code = author_keys % n_codes
-
     return Corpus(
         ids=ids,
         pub_year=pub_year,
@@ -216,7 +235,7 @@ def generate(params: GenParams) -> Corpus:
         authors=[names[i] for i in by_name],
         citing=citing,
         cited=cited,
-        self_edge=_compute_self_edges(author_ptr, author_code, citing, cited),
+        self_edge=self_edge,
         span=params.span,
         drops={"clamped_refs": clamped},
     )

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from citeconc.corpus import load_corpus
@@ -27,6 +30,20 @@ A\tC
 def id_index(corpus) -> dict[str, int]:
     """Article id -> row of a corpus, built from its ``ids`` column."""
     return {a: i for i, a in enumerate(corpus.ids)}
+
+
+def corpus_digest(corpus) -> str:
+    """sha256 over every array of a corpus (dtype, shape and bytes), its ids, label lists, span and drops."""
+    h = hashlib.sha256()
+    for name in ("pub_year", "field_code", "region_code", "journal_code", "author_ptr", "author_code",
+                 "citing", "cited", "self_edge"):
+        a = np.ascontiguousarray(getattr(corpus, name))
+        h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    for labels in (corpus.ids.tolist(), corpus.authors, corpus.fields, corpus.regions, corpus.journals):
+        h.update("\n".join(labels).encode() + b"\0")
+    h.update(repr((corpus.span, sorted(corpus.drops.items()))).encode())
+    return h.hexdigest()
 
 
 def make_corpus(articles: str = ARTICLES_TSV, edges: str = EDGES_TSV, span=(2000, 2004)):

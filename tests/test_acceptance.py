@@ -32,7 +32,7 @@ from citeconc.windows import (
     eligible_pub_years_forward,
     in_window_edge_mask,
 )
-from conftest import make_corpus
+from conftest import corpus_digest, make_corpus
 from oracle import end_to_end_change
 
 _timings: dict[str, float] = {}
@@ -266,6 +266,7 @@ def test_c11_performance():
              for length in (2, 5, 10) for include in (True, False)]
     reports = [report for (report,) in run_studies(corpus, specs)]  # the battery helper `citeconc analyze` runs
     elapsed = time.perf_counter() - t0
+    assert corpus_digest(corpus) == "f0ddb64f16e5a4b006570bcabc106376dc49c4782bd4ff00bb9286a8ed727083"
     for report in reports:
         assert any(r["gini"] is not None for r in report.rows)
     # G_incl = u + (1 - u) * G_excl with u = zero_count / n, on each include/exclude pair.

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import corpus_digest
 from citeconc import synthgen
 from citeconc.concentration import gini
 from citeconc.synthgen import GenParams, geometric_schedule, linear_schedule
@@ -75,14 +76,40 @@ def draw_rows(draw):
 @example(([[1, 2, 1, 0]], [0]))              # quota 0
 @example(([[1, 2, 1, 2, 1]], [5]))           # quota above the number of distinct values
 @example(([[4], [0], [4]], [1, 0, 3]))       # one column
+@example(([[1, 1, 1, 1, 2, 1]], [2]))        # one distinct value in the first quota + 2 columns, two in the row
 def test_first_distinct_matches_reference(case):
     rows, quota = case
     n_cols = len(rows[0]) if rows else 1
     draws = np.asarray(rows, dtype=np.int64).reshape(len(rows), n_cols)
-    keep, got = synthgen._first_distinct(draws, np.asarray(quota, dtype=np.int64))
     expected = first_distinct_reference(rows, quota)
-    assert keep.tolist() == expected
-    assert got.tolist() == [sum(flags) for flags in expected]
+    quota = np.asarray(quota, dtype=np.int64)
+    keep = synthgen._first_distinct(np.repeat(np.arange(len(rows)), n_cols), draws.ravel(), quota)
+    assert keep.tolist() == [flag for flags in expected for flag in flags]
+    # The same values as uniforms in the cdf bins 0..4, looked up in two passes: the first quota + 2
+    # columns of each row, then the rest of the rows those leave short.
+    row, value = synthgen._kept_draws((draws + 0.5) / 5, quota, np.arange(1, 6) / 5)
+    assert list(zip(row.tolist(), value.tolist())) == [
+        (i, v) for i, (r, flags) in enumerate(zip(rows, expected)) for v, flag in zip(r, flags) if flag]
+
+
+# Digests of the generator's corpora, pinned so that a change to the draws fails here; the small config
+# leaves rows short of distinct articles after all their draws, so it runs the per-row redraw loop.
+PINNED = [
+    (lambda: synthgen.scenario("stationary"), "03b3f2ed1a626ddba316f8cc0fe9183934fb94f1fbcb33ff0e61b85b35ad7c78"),
+    (lambda: synthgen.scenario("declining-uncitedness"),
+     "443eea519cd0c202da55f101b6c04f25e19b15a95c6f965117874b92b6a1298e"),
+    (lambda: synthgen.scenario("region-shift"), "dc08bc8684a1c68ba2bf98dbcfe581ae1b4663734770618b50917de4b50644c5"),
+    (base_params, "31e100ddb38082df4c4b0df9fc009a68f9315b5e8df221d7aac7ea035fdad1d6"),
+    (lambda: GenParams(span=(1990, 1995), articles_per_year=(4, 30, 60, 60, 60, 60), refs_per_article=(6.0,) * 6,
+                       attachment_constant=0.1, self_citation_rate=0.2),
+     "062d80ecaecc113bee4ca27814b599c74cba292d781c734c05a0176850c741be"),
+]
+
+
+@pytest.mark.parametrize("params, digest", PINNED, ids=["stationary", "declining-uncitedness", "region-shift",
+                                                        "base_params", "short_rows"])
+def test_generated_corpora_pinned(params, digest):
+    assert corpus_digest(synthgen.generate(params())) == digest
 
 
 def test_same_seed_identical_corpora():
