@@ -44,8 +44,10 @@ class Corpus:
     Authors are in CSR form: article ``i`` has the distinct authors ``authors[c]``
     for ``c`` in ``author_code[author_ptr[i]:author_ptr[i + 1]]``, listed in
     ascending order of author name, the order :func:`write_tables` emits.
-    ``self_edge`` flags the edges whose two articles share an author; the
-    builders compute it with ``_compute_self_edges`` and :meth:`subset` slices it.
+    ``self_edge`` flags the edges whose two articles share an author; the builders
+    compute it with ``_compute_self_edges`` (a 64-bit author signature per article
+    rules out most edges, and a merge of the name-ordered author lists checks the
+    rest) and :meth:`subset` slices it.
 
     Arrays are frozen after construction; every downstream operation treats the
     corpus as read-only, so unrestricted concurrent reads are safe.
@@ -134,32 +136,35 @@ class Corpus:
         )
 
 
-# (edge, citing author) pairs per pass of _compute_self_edges: bounds its peak memory, a few int64
-# arrays of this length. At 2^20 they set a 300k-article build's peak; 2^18 is no slower.
+# Candidate (edge, author) pairs, both sides, per pass of _compute_self_edges: bounds its peak memory, a few
+# int64 arrays of this length. At 2^20 the 300k-article generator peaks 17 MB higher; 2^18 is no slower.
 _SELF_EDGE_CHUNK = 1 << 18
 
 
-def _compute_self_edges(author_ptr: np.ndarray, author_code: np.ndarray,
+def _compute_self_edges(author_ptr: np.ndarray, author_key: np.ndarray,
                         citing: np.ndarray, cited: np.ndarray) -> np.ndarray:
-    """Flag edges whose citing and cited articles share an author: each edge is
-    expanded over the citing authors, and each (cited, author) key looked up."""
-    out = np.zeros(len(citing), dtype=bool)
-    if len(citing) == 0 or len(author_code) == 0:
-        return out
-    n_codes = int(author_code.max()) + 1
-    n_auth = np.diff(author_ptr)
-    keys = np.sort(np.repeat(np.arange(len(n_auth)), n_auth) * n_codes + author_code)
-    pairs_end = np.cumsum(n_auth[citing])
-    bounds = np.searchsorted(pairs_end, np.arange(_SELF_EDGE_CHUNK, pairs_end[-1], _SELF_EDGE_CHUNK))
-    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(citing)]])):
-        k = n_auth[citing[lo:hi]]
-        edge = np.repeat(np.arange(lo, hi), k)
-        pos = np.repeat(author_ptr[citing[lo:hi]] - (np.cumsum(k) - k), k) + np.arange(len(edge))
-        probe = cited[edge] * n_codes + author_code[pos]
-        order = np.argsort(probe)  # sorted probes make searchsorted far faster
-        probe, edge = probe[order], edge[order]
-        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-        out[edge[keys[at] == probe]] = True
+    """Flag edges whose citing and cited articles share an author, where article ``i`` has
+    the authors ``author_key[author_ptr[i]:author_ptr[i + 1]]``, ascending. An article's
+    uint64 signature sets bit ``key % 64`` for each of its keys: only edges whose two
+    signatures meet can share an author. Each side of those expands to ``edge * n_keys +
+    key``, which ascends with no sort, and the cited keys are looked up in the citing."""
+    def keys(art: np.ndarray) -> np.ndarray:  # each article's keys, plus n_keys times its place in art
+        k = n_auth[art]
+        end = np.cumsum(k)
+        return np.repeat(np.arange(len(art)) * n_keys, k) + author_key[
+            np.repeat(author_ptr[art] - (end - k), k) + np.arange(end[-1])]
+    n_keys, n_auth = int(author_key.max(initial=0)) + 1, np.diff(author_ptr)
+    named, sig = n_auth > 0, np.zeros(len(n_auth), np.uint64)  # reduceat over the non-empty lists only
+    sig[named] = np.bitwise_or.reduceat(np.uint64(1) << (author_key % 64).astype(np.uint64), author_ptr[:-1][named])
+    edge = sig[citing]
+    edge &= sig[cited]  # in place, then replaced by the candidates: no third array of every edge
+    edge, out = np.flatnonzero(edge), np.zeros(len(citing), dtype=bool)
+    start = np.cumsum(np.r_[0, n_auth[citing[edge]] + n_auth[cited[edge]]])  # each candidate's first pair, and the end
+    cut = np.searchsorted(start, np.arange(0, start[-1], _SELF_EDGE_CHUNK), "right") - 1
+    for lo, hi in itertools.pairwise(np.unique(np.append(cut, len(edge))).tolist()):
+        a, b = keys(citing[edge[lo:hi]]), keys(cited[edge[lo:hi]])
+        at = np.minimum(np.searchsorted(a, b), len(a) - 1)
+        out[edge[lo + b[a[at] == b] // n_keys]] = True
     return out
 
 
@@ -561,11 +566,12 @@ def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> 
     )
 
 
-def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """CSR author lists of the articles whose author_ids are ``data[lo[i]:hi[i]]``:
-    ``author_ptr``, ``author_code`` and the names, each article's distinct names
-    in ascending order, coded in order of first use. The fields are split at the
-    ``;`` bytes inside them; empty names are skipped."""
+    ``author_ptr``, ``author_code``, ``author_rank`` and the names, each article's
+    distinct names in ascending order, coded in order of first use; ``author_rank``
+    holds the same names' ranks in name order, which ascend within each article.
+    The fields are split at the ``;`` bytes inside them; empty names are skipped."""
     buf = np.frombuffer(data, np.uint8)
     semi = np.flatnonzero(buf == ord(";"))
     # A name runs from a field start or a ";" + 1 to the next ";" or field end. The
@@ -590,13 +596,14 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     del article
     pairs += rank
     del rank
-    pairs.sort()
+    pairs.sort(kind="stable")  # the tokens come by article: timsort merges the runs of each article's names
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each article's distinct names, in name order
+    author_rank = pairs % n_names
     # A name is first used in the first article that has it (the article of its
     # token ``first``), and names first used in one article come in name order.
-    author_code, by_code = _first_use_codes(pairs % n_names, first_article * n_names + np.arange(n_names))
+    author_code, by_code = _first_use_codes(author_rank, first_article * n_names + np.arange(n_names))
     author_ptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // max(n_names, 1), minlength=len(lo)))])
-    return author_ptr, author_code, [names[r] for r in by_code.tolist()]
+    return author_ptr, author_code, author_rank, [names[r] for r in by_code.tolist()]
 
 
 def load_corpus(articles: bytes, edges: bytes, span: tuple[int, int]) -> Corpus:
@@ -604,13 +611,13 @@ def load_corpus(articles: bytes, edges: bytes, span: tuple[int, int]) -> Corpus:
     :func:`read_tables`, then each article's distinct authors coded in name order, and self-citations."""
     tables = read_tables(articles, edges, span)
     del edges  # nothing reads it past read_tables: the author and self-edge passes run without this reference
-    author_ptr, author_code, authors = _code_authors(*tables.pop("author_fields"))
+    author_ptr, author_code, author_rank, authors = _code_authors(*tables.pop("author_fields"))
     return Corpus(
         **tables,
         author_ptr=author_ptr,
         author_code=author_code,
         authors=authors,
-        self_edge=_compute_self_edges(author_ptr, author_code, tables["citing"], tables["cited"]),
+        self_edge=_compute_self_edges(author_ptr, author_rank, tables["citing"], tables["cited"]),
         span=span,
     )
 

@@ -180,17 +180,24 @@ def generate(params: GenParams) -> Corpus:
         citing = year_first[t] + row
         deficit_rows = np.flatnonzero(np.bincount(row, minlength=a_count) < quota)
         if len(deficit_rows):
-            extra_citing, extra_cited = [], []
+            # Rows draw blocks of raw words (rng.random's uniform is a word's top 53 bits / 2^53), whose top 12 bits
+            # pick a bucket b that can hit only articles lo[b]..hi[b]. A row keeps its first new articles, then rewinds.
+            edge = np.arange(4097) / 4096
+            lo, hi = np.searchsorted(cdf, edge[:-1]), np.searchsorted(cdf, edge[1:] - 2.0 ** -53)
+            extra = [np.stack([citing, cited])]
             for i in deficit_rows:
-                have = set(cited[np.searchsorted(row, i):np.searchsorted(row, i, "right")].tolist())
-                while len(have) < quota[i]:
-                    c = min(int(np.searchsorted(cdf, rng.random())), n_prior - 1)
-                    if c not in have:
-                        have.add(c)
-                        extra_citing.append(year_first[t] + i)
-                        extra_cited.append(c)
-            citing = np.concatenate([citing, np.asarray(extra_citing, dtype=np.int64)])
-            cited = np.concatenate([cited, np.asarray(extra_cited, dtype=np.int64)])
+                held, k = np.sort(cited[np.searchsorted(row, i):np.searchsorted(row, i, "right")]), 16
+                while len(held) < quota[i]:
+                    lacks = hi - lo + 1 > np.searchsorted(held, hi, "right") - np.searchsorted(held, lo)
+                    raw = rng.bit_generator.random_raw(k)
+                    at = np.flatnonzero(lacks[raw >> 52])
+                    draw = np.minimum(np.searchsorted(cdf, (raw[at] >> 11) * 2.0 ** -53), n_prior - 1)
+                    new = np.sort(np.unique(draw, return_index=True)[1])
+                    new = new[~np.isin(draw[new], held)][:quota[i] - len(held)]
+                    rng.bit_generator.advance(int(at[new[-1]]) + 1 - k if len(held) + len(new) == quota[i] else 0)
+                    held, k = np.sort(np.append(held, draw[new])), min(2 * k, 1 << 20)
+                    extra.append(np.stack([np.full(len(new), year_first[t] + i), draw[new]]))
+            citing, cited = np.concatenate(extra, axis=1)
         citing_parts.append(citing)
         cited_parts.append(cited)
         indeg[:n_prior] += np.bincount(cited, minlength=n_prior)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -192,8 +192,47 @@ def author_corpora(draw):
     return ART_HEADER + "".join(rows), EDGE_HEADER + edges, authors, keep
 
 
+def signature_corpus(names, pairs):
+    """An ``author_corpora`` value: articles P0, P1, ... in 2000 with the author lists
+    ``names``, the edges ``(citing, cited)`` of ``pairs``, and a mask keeping every other article."""
+    rows = "".join(f"P{i}\t2000\tF\tR\tJ\t{';'.join(a)}\n" for i, a in enumerate(names))
+    edges = "".join(f"P{a}\tP{b}\n" for a, b in pairs)
+    return (ART_HEADER + rows, EDGE_HEADER + edges, {f"P{i}": frozenset(a) for i, a in enumerate(names)},
+            np.arange(len(names)) % 2 == 0)
+
+
+# Shapes at the edges of _compute_self_edges' signature filter, as (author lists, edges, self-edge flags).
+# Authors k00..k69 rank in the order of their numbers, so k00 and k64 set the same signature bit.
+K = [f"k{j:02d}" for j in range(70)]
+SIGNATURE_SHAPES = {
+    "bits_collide_no_shared_author": ([K[:1], K[64:65], K[1:64], K[:1] + K[64:65]],
+                                      [(1, 0), (0, 1), (2, 0), (3, 0), (3, 1), (3, 2)],
+                                      [False, False, False, True, True, False]),
+    "64_or_more_authors": ([K, ["m0", "m1"], ["m1", "k05"]],
+                           [(0, 1), (1, 0), (2, 1), (0, 2), (2, 0)],
+                           [False, False, True, True, True]),
+    "articles_with_no_authors": ([["c"], [], [], ["a", "b"], [], ["a", "c"], []],
+                                 [(3, 0), (5, 0), (1, 0), (3, 2), (4, 3), (5, 3), (6, 5), (2, 1), (0, 5)],
+                                 [False, True, False, False, False, True, False, False, True]),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, corpus_mod._SELF_EDGE_CHUNK])
+@pytest.mark.parametrize("shape", SIGNATURE_SHAPES)
+def test_self_edge_signature_filter_edge_cases(shape, chunk):
+    names, pairs, expected = SIGNATURE_SHAPES[shape]
+    arts, edges, _, _ = signature_corpus(names, pairs)
+    with mock.patch.object(corpus_mod, "_SELF_EDGE_CHUNK", chunk):
+        c = make_corpus(arts, edges, span=(2000, 2000))
+    assert [(c.ids[s], c.ids[d]) for s, d in zip(c.citing, c.cited)] == [(f"P{a}", f"P{b}") for a, b in pairs]
+    assert c.self_edge.tolist() == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(author_corpora(), st.sampled_from([1, 5, corpus_mod._SELF_EDGE_CHUNK]))
+@example(signature_corpus(*SIGNATURE_SHAPES["bits_collide_no_shared_author"][:2]), 1)
+@example(signature_corpus(*SIGNATURE_SHAPES["64_or_more_authors"][:2]), 5)
+@example(signature_corpus(*SIGNATURE_SHAPES["articles_with_no_authors"][:2]), corpus_mod._SELF_EDGE_CHUNK)
 def test_self_edge_matches_oracle_and_tables_round_trip(data, chunk):
     arts, edges, authors, keep = data
     with mock.patch.object(corpus_mod, "_SELF_EDGE_CHUNK", chunk):
@@ -317,7 +356,8 @@ def test_code_authors_matches_the_per_article_loop(fields, gap):
         data += text.encode()
         hi.append(len(data))
         data += gap.encode()
-    author_ptr, author_code, authors = corpus_mod._code_authors(data, np.array(lo, np.int64), np.array(hi, np.int64))
+    author_ptr, author_code, author_rank, authors = corpus_mod._code_authors(
+        data, np.array(lo, np.int64), np.array(hi, np.int64))
     names, ptr = [], [0]  # the per-article loop load_corpus ran before the byte path
     for text in fields:
         names.extend(sorted({a for a in text.split(";") if a}))
@@ -325,3 +365,6 @@ def test_code_authors_matches_the_per_article_loop(fields, gap):
     assert authors == list(dict.fromkeys(names))
     assert [authors[c] for c in author_code.tolist()] == names
     assert author_ptr.tolist() == ptr
+    # The name ranks, which _compute_self_edges reads, name the same authors and ascend in each article.
+    assert [sorted(authors)[r] for r in author_rank.tolist()] == names
+    assert all((np.diff(author_rank[a:b]) > 0).all() for a, b in zip(ptr[:-1], ptr[1:]))

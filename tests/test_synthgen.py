@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import numpy as np
@@ -92,24 +93,63 @@ def test_first_distinct_matches_reference(case):
         (i, v) for i, (r, flags) in enumerate(zip(rows, expected)) for v, flag in zip(r, flags) if flag]
 
 
-# Digests of the generator's corpora, pinned so that a change to the draws fails here; the small config
-# leaves rows short of distinct articles after all their draws, so it runs the per-row redraw loop.
+def short_rows(exponent=1.0):
+    """A small config that leaves rows short of distinct articles after all their draws, so it runs the
+    per-row redraw loop; the steeper the attachment, the more draws a row takes to find a new article."""
+    return GenParams(span=(1990, 1995), articles_per_year=(4, 30, 60, 60, 60, 60), refs_per_article=(6.0,) * 6,
+                     attachment_constant=0.1, attachment_exponent=exponent, self_citation_rate=0.2)
+
+
+# Digests of the generator's corpora, pinned so that a change to the draws fails here. At exponent 2,
+# short_rows' redraws read about 1.4M words of the stream before their rows are full.
 PINNED = [
     (lambda: synthgen.scenario("stationary"), "03b3f2ed1a626ddba316f8cc0fe9183934fb94f1fbcb33ff0e61b85b35ad7c78"),
     (lambda: synthgen.scenario("declining-uncitedness"),
      "443eea519cd0c202da55f101b6c04f25e19b15a95c6f965117874b92b6a1298e"),
     (lambda: synthgen.scenario("region-shift"), "dc08bc8684a1c68ba2bf98dbcfe581ae1b4663734770618b50917de4b50644c5"),
     (base_params, "31e100ddb38082df4c4b0df9fc009a68f9315b5e8df221d7aac7ea035fdad1d6"),
-    (lambda: GenParams(span=(1990, 1995), articles_per_year=(4, 30, 60, 60, 60, 60), refs_per_article=(6.0,) * 6,
-                       attachment_constant=0.1, self_citation_rate=0.2),
-     "062d80ecaecc113bee4ca27814b599c74cba292d781c734c05a0176850c741be"),
+    (short_rows, "062d80ecaecc113bee4ca27814b599c74cba292d781c734c05a0176850c741be"),
+    (lambda: short_rows(2.0), "f2d5f344b73f1a5a578a254e912001e9aa6cc8b3665014cf0cf1dc6755c54164"),
 ]
 
 
 @pytest.mark.parametrize("params, digest", PINNED, ids=["stationary", "declining-uncitedness", "region-shift",
-                                                        "base_params", "short_rows"])
+                                                        "base_params", "short_rows", "short_rows_exponent_2"])
 def test_generated_corpora_pinned(params, digest):
     assert corpus_digest(synthgen.generate(params())) == digest
+
+
+class RecordingGenerator(np.random.Generator):
+    """The generator ``default_rng`` gives, which keeps every array of Poisson draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.poisson_draws = []
+
+    def poisson(self, *args, **kwargs):
+        self.poisson_draws.append(super().poisson(*args, **kwargs))
+        return self.poisson_draws[-1]
+
+
+def test_steep_attachment_fills_every_row_quickly(monkeypatch):
+    # At exponent 3 the short rows read hundreds of millions of words of the stream before they find their
+    # new articles: looked up one at a time, those took over 60 s.
+    made = []
+
+    def default_rng(seed):
+        made.append(RecordingGenerator(seed))
+        return made[-1]
+
+    monkeypatch.setattr(synthgen.np.random, "default_rng", default_rng)
+    t0 = time.perf_counter()
+    c = synthgen.generate(short_rows(3.0))
+    assert time.perf_counter() - t0 < 30.0
+    requested = np.concatenate(made[0].poisson_draws)  # one array per year, in article order
+    n_prior = np.searchsorted(c.pub_year, c.pub_year)  # articles published before each one's year
+    assert c.drops["clamped_refs"] == int((requested - np.minimum(requested, n_prior)).sum())
+    assert (c.cited < n_prior[c.citing]).all()
+    assert len(set(zip(c.citing.tolist(), c.cited.tolist()))) == c.n_edges  # distinct cited articles
+    assert np.bincount(c.citing, minlength=c.n_articles).tolist() == np.minimum(requested, n_prior).tolist()
 
 
 def test_same_seed_identical_corpora():
