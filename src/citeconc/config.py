@@ -120,6 +120,9 @@ def _float(value: str, key: str) -> float:
 
 def build_run(raw: dict[str, str]) -> RunConfig:
     study_names = raw.get("studies", "").split()
+    repeated = [name for i, name in enumerate(study_names) if name in study_names[:i]]
+    if repeated:
+        raise ConfigError(f"studies: {repeated[0]!r} is listed more than once")
     for key in raw:
         if key in GLOBAL_KEYS or key in DEFAULTABLE:
             continue

@@ -19,10 +19,11 @@ and names of any length are ranked and looked up by one sort (:func:`_ranks`).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import sys
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -34,12 +35,44 @@ class DataError(Exception):
     """Malformed input that cannot be skipped (unreadable row, bad row shape, bad year, duplicate id)."""
 
 
+class _Utf8:
+    """Strings kept as their UTF-8 bytes: string ``i`` is ``buf[lo[i]:hi[i]]``. The ranges may skip
+    bytes of ``buf``, as those of a file's fields or of a subset do."""
+
+    def __init__(self, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.buf, self.lo, self.hi = buf, np.asarray(lo, np.int64), np.asarray(hi, np.int64)
+
+    @classmethod
+    def of(cls, strings: Iterable[str]) -> "_Utf8":
+        encoded = [s.encode() for s in strings]
+        n = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        return cls(np.frombuffer(b"".join(encoded), np.uint8), np.cumsum(n) - n, np.cumsum(n))
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def take(self, index: np.ndarray) -> "_Utf8":
+        return _Utf8(self.buf, self.lo[index], self.hi[index])
+
+    def compact(self) -> "_Utf8":
+        """The same strings in a buffer of their bytes alone."""
+        n = self.hi - self.lo
+        hi = np.cumsum(n)
+        return _Utf8(_gather(self.buf, self.lo, n), hi - n, hi)
+
+    def tolist(self) -> list[str]:
+        return _decode(self.buf.tobytes(), self.lo, self.hi)
+
+
 class Corpus:
     """Immutable column store of articles plus a deduplicated citation edge list.
 
-    Article ``i`` has the id ``ids[i]`` (an object array: one long id widens no other row); ids
-    are distinct (a repeat is a :class:`DataError`, which for input files :func:`read_tables`
-    raises with the line number).
+    Article ids and author names are kept as UTF-8 bytes (``id_utf8``, ``author_utf8``) and
+    decoded only when read as strings, through ``ids`` (an object array) and ``authors`` (a
+    list), or written quoted. Article ``i``'s id ranks ``id_rank[i]`` in byte order, which is
+    ``str`` order; ids are distinct (a repeat is a :class:`DataError`, which for input files
+    :func:`read_tables` raises with the line number). The loader, the generator and
+    :meth:`subset` pass the ranks they know; otherwise the ids are ranked here.
     Fields, regions, journals and authors are integer codes into label lists.
     Authors are in CSR form: article ``i`` has the distinct authors ``authors[c]``
     for ``c`` in ``author_code[author_ptr[i]:author_ptr[i + 1]]``, listed in
@@ -56,7 +89,7 @@ class Corpus:
     def __init__(
         self,
         *,
-        ids: np.ndarray | list[str],
+        ids: _Utf8 | Iterable[str],
         pub_year: np.ndarray,
         field_code: np.ndarray,
         fields: list[str],
@@ -66,17 +99,20 @@ class Corpus:
         journals: list[str],
         author_ptr: np.ndarray,
         author_code: np.ndarray,
-        authors: list[str],
+        authors: _Utf8 | Iterable[str],
         citing: np.ndarray,
         cited: np.ndarray,
         self_edge: np.ndarray,
         span: tuple[int, int],
         drops: dict[str, int],
         rows_read: tuple[int, int] = (0, 0),
+        id_rank: np.ndarray | None = None,
     ):
-        self.ids = np.asarray(ids, dtype=object)
-        # Ids in ascending order, as the generator and subsets of its corpora give them, are distinct.
-        if not (self.ids[1:] > self.ids[:-1]).all() and len(set(self.ids.tolist())) != len(self.ids):
+        self.id_utf8 = ids if isinstance(ids, _Utf8) else _Utf8.of(ids)
+        if id_rank is None:
+            id_rank = _ranks(self.id_utf8.buf, self.id_utf8.lo, self.id_utf8.hi)[0]
+        self.id_rank = np.asarray(id_rank, dtype=np.int64)
+        if len(self.id_rank) and np.bincount(self.id_rank).max() > 1:
             raise DataError("duplicate article id in corpus construction")
         self.pub_year = np.asarray(pub_year, dtype=np.int32)
         self.field_code = np.asarray(field_code, dtype=np.int32)
@@ -87,7 +123,7 @@ class Corpus:
         self.journals = list(journals)
         self.author_ptr = np.asarray(author_ptr, dtype=np.int64)
         self.author_code = np.asarray(author_code, dtype=np.int32)
-        self.authors = list(authors)
+        self.author_utf8 = authors if isinstance(authors, _Utf8) else _Utf8.of(authors)
         self.citing = np.asarray(citing, dtype=np.int64)
         self.cited = np.asarray(cited, dtype=np.int64)
         self.span = (int(span[0]), int(span[1]))
@@ -96,13 +132,24 @@ class Corpus:
         self.citing_year = self.pub_year[self.citing] if len(self.citing) else np.zeros(0, np.int32)
         self.cited_year = self.pub_year[self.cited] if len(self.cited) else np.zeros(0, np.int32)
         self.self_edge = np.asarray(self_edge, dtype=bool)
-        for arr in (self.ids, self.pub_year, self.field_code, self.region_code, self.journal_code, self.author_ptr,
-                    self.author_code, self.citing, self.cited, self.citing_year, self.cited_year, self.self_edge):
+        for arr in (self.id_rank, self.pub_year, self.field_code, self.region_code, self.journal_code,
+                    self.author_ptr, self.author_code, self.citing, self.cited, self.citing_year, self.cited_year,
+                    self.self_edge):
             arr.flags.writeable = False
+
+    @functools.cached_property
+    def ids(self) -> np.ndarray:
+        ids = np.array(self.id_utf8.tolist(), dtype=object)
+        ids.flags.writeable = False
+        return ids
+
+    @functools.cached_property
+    def authors(self) -> list[str]:
+        return self.author_utf8.tolist()
 
     @property
     def n_articles(self) -> int:
-        return len(self.ids)
+        return len(self.id_rank)
 
     @property
     def n_edges(self) -> int:
@@ -117,7 +164,8 @@ class Corpus:
         remap[old_idx] = np.arange(len(old_idx))
         edge_keep = keep[self.citing] & keep[self.cited] if self.n_edges else np.zeros(0, bool)
         return Corpus(
-            ids=self.ids[old_idx],
+            ids=self.id_utf8.take(old_idx),
+            id_rank=self.id_rank[old_idx],
             pub_year=self.pub_year[old_idx],
             field_code=self.field_code[old_idx],
             fields=self.fields,
@@ -127,7 +175,7 @@ class Corpus:
             journals=self.journals,
             author_ptr=np.concatenate([[0], np.cumsum(np.diff(self.author_ptr)[keep])]),
             author_code=self.author_code[np.repeat(keep, np.diff(self.author_ptr))],
-            authors=self.authors,
+            authors=self.author_utf8,
             citing=remap[self.citing[edge_keep]],
             cited=remap[self.cited[edge_keep]],
             self_edge=self.self_edge[edge_keep],
@@ -395,9 +443,11 @@ def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
     return rank, first, levels
 
 
-def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[Callable[..., np.ndarray], list[int]]:
+def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[Callable[..., np.ndarray], list[int],
+                                                                          np.ndarray]:
     """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of the equal
-    id ``buf[lo[i]:hi[i]]``, or -1; and the first ``i`` whose id repeats an earlier one, if any.
+    id ``buf[lo[i]:hi[i]]``, or -1; the first ``i`` whose id repeats an earlier one, if any;
+    and the rank of each id (see :func:`_ranks`).
     A range is searched for its key at each level of :func:`_ranks` that its run of ids goes
     on to, then compared in full with the id it found unless its level-0 key holds all of it."""
     rank, row, levels = _ranks(buf, lo, hi)  # distinct ids: the rank is the sorted position
@@ -429,7 +479,7 @@ def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[Callabl
         out[probe[same]] = i[same]
         return out
 
-    return find, repeat
+    return find, repeat, rank
 
 
 def _first_use_codes(rank: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +527,7 @@ def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, n
     abuf = np.frombuffer(data, np.uint8)
     year, errors = _years(data, *_field(ends, 1))
     errors += [(i, "empty field label") for i in np.flatnonzero(ends[:, 3] == ends[:, 2] + 1)[:1].tolist()]
-    find, repeat = _id_finder(abuf, *_field(ends, 0))
+    find, repeat, id_rank = _id_finder(abuf, *_field(ends, 0))
     errors += [(i, f"duplicate article id {data[ends[i, 0] + 1:ends[i, 1]].decode()!r}") for i in repeat]
     if errors:  # the earliest row's; in a row, the first of year, field and id
         row, message = min(errors, key=lambda e: e[0])
@@ -504,14 +554,13 @@ def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, n
         del edge_ends, alo, ahi, blo, bhi, a, b, loop  # before the next piece's arrays exist
 
     ends = ends[kept]
-    columns = dict(ids=None, pub_year=year[kept].astype(np.int32))
+    columns = dict(ids=_Utf8(abuf, *_field(ends, 0)), id_rank=id_rank[kept], pub_year=year[kept].astype(np.int32))
     for col, codes, labels in ((2, "field_code", "fields"), (3, "region_code", "regions"),
                                (4, "journal_code", "journals")):
         lo, hi = _field(ends, col)
         label_rank, label_row, _ = _ranks(abuf, lo, hi)
         columns[codes], by_code = _first_use_codes(label_rank, label_row)
         columns[labels] = _decode(data, lo[label_row[by_code]], hi[label_row[by_code]])
-    columns["ids"] = _decode(data, *_field(ends, 0))  # after the labels' ranks: the strings would add to their peak
     columns["author_fields"] = (data, *_field(ends, 5))
     return columns, np.concatenate(citing), np.concatenate(cited), self_loops, len(year)
 
@@ -529,9 +578,10 @@ def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> 
     The tables are the UTF-8 bytes of both files, split by :func:`_split`'s
     numpy or csv tokeniser and checked by one checker either way.
 
-    Returns the :class:`Corpus` keyword arguments ``ids``, ``pub_year``, the
-    field/region/journal codes and labels, ``citing``, ``cited``, ``drops`` and
-    ``rows_read``, plus ``author_fields``: UTF-8 bytes ``data`` and ranges
+    Returns the :class:`Corpus` keyword arguments ``ids`` (the id fields, left in the
+    articles table's bytes), ``id_rank``, ``pub_year``, the field/region/journal codes and
+    labels, ``citing``, ``cited``, ``drops`` and ``rows_read``, plus
+    ``author_fields``: UTF-8 bytes ``data`` and ranges
     ``lo``, ``hi`` such that ``data[lo[i]:hi[i]]`` is retained article ``i``'s
     raw author_ids.
     """
@@ -566,7 +616,7 @@ def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> 
     )
 
 
-def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Utf8]:
     """CSR author lists of the articles whose author_ids are ``data[lo[i]:hi[i]]``:
     ``author_ptr``, ``author_code``, ``author_rank`` and the names, each article's
     distinct names in ascending order, coded in order of first use; ``author_rank``
@@ -588,7 +638,7 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
 
     rank, first, _ = _ranks(buf, tok_lo, tok_hi)
     article = np.searchsorted(lo, tok_lo, "right") - 1  # after _ranks, whose arrays set load_corpus' peak
-    names = _decode(data, tok_lo[first], tok_hi[first])
+    name_lo, name_hi = tok_lo[first], tok_hi[first]  # by rank
     del tok_lo, tok_hi
     n_names = len(first)
     first_article = article[first]
@@ -603,7 +653,7 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     # token ``first``), and names first used in one article come in name order.
     author_code, by_code = _first_use_codes(author_rank, first_article * n_names + np.arange(n_names))
     author_ptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // max(n_names, 1), minlength=len(lo)))])
-    return author_ptr, author_code, author_rank, [names[r] for r in by_code.tolist()]
+    return author_ptr, author_code, author_rank, _Utf8(buf, name_lo[by_code], name_hi[by_code]).compact()
 
 
 def load_corpus(articles: bytes, edges: bytes, span: tuple[int, int]) -> Corpus:
@@ -611,6 +661,7 @@ def load_corpus(articles: bytes, edges: bytes, span: tuple[int, int]) -> Corpus:
     :func:`read_tables`, then each article's distinct authors coded in name order, and self-citations."""
     tables = read_tables(articles, edges, span)
     del edges  # nothing reads it past read_tables: the author and self-edge passes run without this reference
+    tables["ids"] = tables["ids"].compact()
     author_ptr, author_code, author_rank, authors = _code_authors(*tables.pop("author_fields"))
     return Corpus(
         **tables,
@@ -640,45 +691,109 @@ def filter_core_journals(corpus: Corpus) -> Corpus:
     return corpus.subset(core[corpus.journal_code])
 
 
-# Rows _write_tsv formats at a time: bounds the memory of the formatted text.
+# Rows and bytes write_tables forms at a time: the bytes bound its gather's index, 8 bytes per byte written.
 _WRITE_ROWS = 1 << 16
+_WRITE_BYTES = 1 << 19
 
 
-def _write_tsv(path: str, header: list[str], n_rows: int, columns: Callable[[slice], list], quoted: bool) -> None:
-    """Write a TSV table whose rows ``rows`` hold the fields ``columns(rows)``, as
-    ``csv.writer`` would: with ``str.join`` over the rows' fields and separators,
-    or through ``csv.writer`` if a field may need quoting."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\t".join(header) + "\n")
-        writer = csv.writer(f, delimiter="\t", lineterminator="\n")
-        for start in range(0, n_rows, _WRITE_ROWS):
-            fields = columns(slice(start, start + _WRITE_ROWS))
-            if quoted:
-                writer.writerows(zip(*fields))
-                continue
-            cells = np.full((len(fields[0]), 2 * len(fields)), "\t", dtype=object)
-            cells[:, -1] = "\n"
-            for k, column in enumerate(fields):
-                cells[:, 2 * k] = column
-            f.write("".join(cells.ravel().tolist()))
+def _gather(buf: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The bytes ``buf[lo[k]:lo[k] + n[k]]`` of every segment ``k``, one after another, in one
+    gather: its index steps by one within a segment and jumps to the next segment's start."""
+    if not n.all():
+        lo, n = lo[n > 0], n[n > 0]
+    if not len(n):
+        return np.zeros(0, np.uint8)
+    end = np.cumsum(n)
+    at = np.ones(end[-1], np.int64)
+    at[0] = lo[0]
+    at[end[:-1]] = lo[1:] - lo[:-1] - n[:-1] + 1
+    return buf[np.cumsum(at, out=at)]
+
+
+def _with_separators(parts: list[tuple[_Utf8, bytes]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strings of the parts ``(strings, sep)``, each followed by its part's one byte ``sep``, in
+    one buffer; and each such segment's start and length there, numbered part after part."""
+    n = np.concatenate([strings.hi - strings.lo + 1 for strings, _ in parts])
+    lo = np.cumsum(n) - n
+    src = np.empty(int(n.sum()), np.uint8)
+    text = np.ones(len(src), bool)
+    text[lo + n - 1] = False
+    src[~text] = np.repeat(np.frombuffer(b"".join(sep for _, sep in parts), np.uint8), [len(s) for s, _ in parts])
+    src[text] = np.concatenate([strings.compact().buf for strings, _ in parts])
+    return src, lo, n
+
+
+def _write_rows(path: str, header: list[str], row_bytes: np.ndarray, block: Callable[[int, int], np.ndarray]) -> None:
+    """Write a TSV table whose rows ``a`` to ``b - 1``, of ``row_bytes`` bytes each, are ``block(a, b)``
+    but for the last byte of each, a separator that this replaces by a newline."""
+    end = np.cumsum(row_bytes)
+    with open(path, "wb") as f:
+        f.write("\t".join(header).encode() + b"\n")
+        start = 0
+        while start < len(end):
+            base = int(end[start - 1]) if start else 0
+            stop = min(start + _WRITE_ROWS, max(start + 1, int(np.searchsorted(end, base + _WRITE_BYTES, "right"))))
+            out = block(start, stop)
+            out[end[start:stop] - base - 1] = ord("\n")
+            f.write(out.data)
+            start = stop
+
+
+def _write_quoted(corpus: Corpus, articles_path: str, edges_path: str) -> None:
+    """:func:`write_tables` through ``csv.writer``, which quotes the strings holding a tab, ``"``, CR or LF."""
+    ids, authors, ptr, codes = corpus.ids, corpus.authors, corpus.author_ptr.tolist(), corpus.author_code.tolist()
+    articles = ([ids[i], year, corpus.fields[f], corpus.regions[r], corpus.journals[j],
+                 ";".join(authors[c] for c in codes[ptr[i]:ptr[i + 1]])]
+                for i, (year, f, r, j) in enumerate(zip(corpus.pub_year.tolist(), corpus.field_code.tolist(),
+                                                        corpus.region_code.tolist(), corpus.journal_code.tolist())))
+    for path, header, rows in ((articles_path, ARTICLE_COLUMNS, articles),
+                               (edges_path, EDGE_COLUMNS, zip(ids[corpus.citing], ids[corpus.cited]))):
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, delimiter="\t", lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+
+# The bytes after which csv.writer quotes a field.
+_QUOTED = np.isin(np.arange(256), list(b'\t"\r\n'))
 
 
 def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
-    """Emit the corpus back to the tabular formats accepted by load_corpus, as
-    ``csv.writer`` would, formatting whole columns of rows at a time."""
-    labels = "".join(itertools.chain(corpus.ids, corpus.fields, corpus.regions, corpus.journals, corpus.authors))
-    quoted = any(c in labels for c in '\t"\r\n')
-    fields, regions, journals, authors = (np.array(v, dtype=object) for v in (
-        corpus.fields, corpus.regions, corpus.journals, corpus.authors))
+    """Emit the corpus back to the tabular formats accepted by load_corpus, as ``csv.writer``
+    would. Each block of rows is one gather of segments, each a string followed by its tab or
+    ``;`` (see :func:`_write_rows`); ids and names are never decoded unless one needs quoting."""
+    labels = corpus.fields + corpus.regions + corpus.journals
+    if any(_QUOTED[v.buf].any() for v in (corpus.id_utf8, corpus.author_utf8, _Utf8.of(labels))):
+        return _write_quoted(corpus, articles_path, edges_path)
+    years, year_code = np.unique(corpus.pub_year, return_inverse=True)
+    parts = [(corpus.id_utf8, b"\t"), (_Utf8.of(map(str, years.tolist())), b"\t"),
+             *((_Utf8.of(v), b"\t") for v in (corpus.fields, corpus.regions, corpus.journals)),
+             (corpus.author_utf8, b";"), (_Utf8.of([""]), b";")]  # the last: an empty author list
+    src, seg_lo, seg_n = _with_separators(parts)
+    first = np.cumsum([0] + [len(strings) for strings, _ in parts])  # each part's first segment
+    columns = list(zip(first, (np.arange(corpus.n_articles), year_code, corpus.field_code, corpus.region_code,
+                               corpus.journal_code)))
+    ptr, codes = corpus.author_ptr, corpus.author_code
+    n_names = np.diff(ptr)
+    name_end = np.concatenate([[0], np.cumsum(seg_n[first[5] + codes])])
+    row_bytes = name_end[ptr[1:]] - name_end[ptr[:-1]] + (n_names == 0)  # the names, or an empty list's ";"
+    for at, code in columns:
+        row_bytes += seg_n[at + code]
+    del name_end
 
-    def article_columns(rows: slice) -> list:
-        ptr = corpus.author_ptr[rows.start:rows.stop + 1]
-        names = authors[corpus.author_code[ptr[0]:ptr[-1]]].tolist()
-        return [corpus.ids[rows], list(map(str, corpus.pub_year[rows].tolist())), fields[corpus.field_code[rows]],
-                regions[corpus.region_code[rows]], journals[corpus.journal_code[rows]],
-                list(map(";".join, map(names.__getitem__, map(slice, (ptr[:-1] - ptr[0]).tolist(),
-                                                               (ptr[1:] - ptr[0]).tolist()))))]
+    def articles(a: int, b: int) -> np.ndarray:  # segments id, year, field, region, journal, then names
+        k = 5 + np.maximum(n_names[a:b], 1)
+        row = np.cumsum(k) - k
+        seg = np.full(row[-1] + k[-1], first[6])
+        for j, (at, code) in enumerate(columns):
+            seg[row + j] = at + code[a:b]
+        seg[np.repeat(row + 5 - (ptr[a:b] - ptr[a]), n_names[a:b]) + np.arange(ptr[b] - ptr[a])] = \
+            first[5] + codes[ptr[a]:ptr[b]]
+        return _gather(src, seg_lo[seg], seg_n[seg])
 
-    _write_tsv(articles_path, ARTICLE_COLUMNS, corpus.n_articles, article_columns, quoted)
-    _write_tsv(edges_path, EDGE_COLUMNS, corpus.n_edges,
-               lambda rows: [corpus.ids[corpus.citing[rows]], corpus.ids[corpus.cited[rows]]], quoted)
+    def edges(a: int, b: int) -> np.ndarray:  # the ids are the first segments
+        seg = np.column_stack([corpus.citing[a:b], corpus.cited[a:b]]).ravel()
+        return _gather(src, seg_lo[seg], seg_n[seg])
+
+    _write_rows(articles_path, ARTICLE_COLUMNS, row_bytes, articles)
+    _write_rows(edges_path, EDGE_COLUMNS, seg_n[corpus.citing] + seg_n[corpus.cited], edges)

@@ -262,7 +262,7 @@ def _tails_reducer(work: Corpus, mask: np.ndarray, top_pct: float, citing_level:
     def reduce(y, cohort, raw, vals):
         year_edges = edges[edge_at[y - start]:edge_at[y - start + 1]]
         single = cohort[raw == 1]
-        top = cohort[np.lexsort((work.ids[cohort], -vals))[:math.ceil(top_pct * len(cohort))]]
+        top = cohort[np.lexsort((work.id_rank[cohort], -vals))[:math.ceil(top_pct * len(cohort))]]
         cols = [shares(single), shares(top)]
         for group in (single, top):
             citing = work.citing[year_edges[np.isin(work.cited[year_edges], group)]]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from citeconc.corpus import Corpus, _compute_self_edges
+from citeconc.corpus import Corpus, _compute_self_edges, _ranks, _Utf8
 
 
 def linear_schedule(start: float, end: float, n: int) -> tuple[float, ...]:
@@ -140,13 +140,19 @@ def generate(params: GenParams) -> Corpus:
     n_authors = rng.integers(params.authors_min, params.authors_max + 1, size=n_total)
     flat_regions = np.repeat(region_code, n_authors)
     flat_codes = pool_offset[flat_regions] + (rng.random(int(n_authors.sum())) * pool_size[flat_regions]).astype(np.int64)
-    # Recode pool members so that codes ascend in the order of their names "a<member>".
+    # Recode pool members so that codes ascend in the order of their names "a<member>": byte rows holding
+    # "a" and the digits at their ends, ranked as strings.
     members, flat_codes = np.unique(flat_codes, return_inverse=True)
-    names = [f"a{m}" for m in members.tolist()]
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    flat_codes = np.argsort(by_name)[flat_codes]
+    width = len(str(int(members.max(initial=0)))) + 1
+    cells = np.zeros((len(members), width), np.uint8)
+    cells[:, 1:] = members[:, None] // 10 ** np.arange(width - 2, -1, -1) % 10 + ord("0")
+    row_end = width * np.arange(1, len(members) + 1)
+    names = _Utf8(cells.ravel(), row_end - 2 - np.searchsorted(10 ** np.arange(1, width), members, "right"), row_end)
+    names.buf[names.lo] = ord("a")
+    rank = _ranks(names.buf, names.lo, names.hi)[0]
+    flat_codes = rank[flat_codes]
     first_draw = np.cumsum(n_authors) - n_authors
-    n_codes = max(len(names), 1)
+    n_codes = max(len(members), 1)
     author_keys = [np.repeat(np.arange(n_total, dtype=np.int64), n_authors) * n_codes + flat_codes]
 
     indeg = np.zeros(n_total, dtype=np.int64)
@@ -218,18 +224,17 @@ def generate(params: GenParams) -> Corpus:
     author_code = author_keys % n_codes
     self_edge = _compute_self_edges(author_ptr, author_code, citing, cited)  # the memory peak: before the ids
 
-    # Ids "p000000", ...: digits in byte rows split into strings, 2^16 at a time (whole-column temporaries
-    # raised the generator's peak RSS by 10 MB at 302k articles).
-    width = max(6, len(str(n_total)))
-    ids = np.empty(n_total, object)
+    # Ids "p000000", ...: ascending, so their ranks are their rows. The digits go into byte rows 2^16 at a time
+    # (whole-column temporaries raised the generator's peak RSS by 10 MB at 302k articles).
+    width = max(6, len(str(n_total))) + 1
+    cells = np.full((n_total, width), ord("p"), np.uint8)
     for lo in range(0, n_total, 1 << 16):
         number = np.arange(lo, min(n_total, lo + (1 << 16)))
-        cells = np.full((len(number), width + 2), ord("p"), np.uint8)
-        cells[:, 1:-1] = number[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
-        cells[:, -1] = ord("\n")
-        ids[lo:lo + len(number)] = cells.tobytes().decode("ascii").split("\n")[:-1]
+        cells[lo:lo + len(number), 1:] = number[:, None] // 10 ** np.arange(width - 2, -1, -1) % 10 + ord("0")
+    row = np.arange(n_total + 1) * width
     return Corpus(
-        ids=ids,
+        ids=_Utf8(cells.ravel(), row[:-1], row[1:]),
+        id_rank=np.arange(n_total),
         pub_year=pub_year,
         field_code=field_code,
         fields=field_labels,
@@ -239,7 +244,7 @@ def generate(params: GenParams) -> Corpus:
         journals=[f"J{j}" for j in range(params.n_journals)],
         author_ptr=author_ptr,
         author_code=author_code,
-        authors=[names[i] for i in by_name],
+        authors=names.take(np.argsort(rank)),
         citing=citing,
         cited=cited,
         self_edge=self_edge,

@@ -292,6 +292,16 @@ def test_analyze_unknown_key_fails_before_compute(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_analyze_study_listed_twice_fails_before_compute(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(analyze_config(out_dir).replace("studies = g5 u5", "studies = u5 g5 u5"))
+    monkeypatch.setattr(synthgen, "generate", lambda params: pytest.fail("a corpus was built"))
+    assert main(["analyze", str(cfg)]) == 1
+    assert "config error: studies: 'u5' is listed more than once" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_analyze_requires_exactly_one_source(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("output.dir = x\nstudies = g\ng.type = gini\n")

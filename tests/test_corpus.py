@@ -19,9 +19,10 @@ from citeconc.corpus import (
     filter_core_journals,
     load_corpus,
     load_corpus_files,
+    read_tables,
     write_tables,
 )
-from conftest import ARTICLES_TSV, make_corpus
+from conftest import ARTICLES_TSV, EDGES_TSV, make_corpus
 
 ART_HEADER = "id\tpub_year\tfield\tregion\tjournal_id\tauthor_ids\n"
 EDGE_HEADER = "citing_id\tcited_id\n"
@@ -358,6 +359,7 @@ def test_code_authors_matches_the_per_article_loop(fields, gap):
         data += gap.encode()
     author_ptr, author_code, author_rank, authors = corpus_mod._code_authors(
         data, np.array(lo, np.int64), np.array(hi, np.int64))
+    authors = authors.tolist()  # the names come back as UTF-8 bytes
     names, ptr = [], [0]  # the per-article loop load_corpus ran before the byte path
     for text in fields:
         names.extend(sorted({a for a in text.split(";") if a}))
@@ -368,3 +370,82 @@ def test_code_authors_matches_the_per_article_loop(fields, gap):
     # The name ranks, which _compute_self_edges reads, name the same authors and ascend in each article.
     assert [sorted(authors)[r] for r in author_rank.tolist()] == names
     assert all((np.diff(author_rank[a:b]) > 0).all() for a, b in zip(ptr[:-1], ptr[1:]))
+
+
+# Ids of 0 to 100 characters, some non-ASCII, holding no byte that csv.writer quotes.
+WRITER_IDS = st.text(st.sampled_from(["a", "B", "0", " ", ";", "\0", "é", "李"]), max_size=100)
+WRITER_NAMES = st.text(st.sampled_from(["a", "b", " ", "\0", "é", "李"]), min_size=1, max_size=12)
+
+
+def writer_corpus(ids, years, names, author_lists, pairs, quoted_journal=False):
+    """A corpus built from its columns: articles ``ids`` with ``years``, each with the names
+    ``author_lists[i]`` (indices into ``names``), edges ``pairs``; regions and journals
+    include the empty label, and with ``quoted_journal`` a journal label that needs quoting."""
+    n = len(ids)
+    lists = [sorted(set(a), key=names.__getitem__) for a in author_lists]
+    codes = np.arange(n)
+    return Corpus(ids=ids, pub_year=years, field_code=codes % 2, fields=["F0", "Fïeld"],
+                  region_code=codes % 3, regions=["", "NA", "Ásia"], journal_code=codes % 2,
+                  journals=["", 'J "2"' if quoted_journal else "J2"],
+                  author_ptr=np.cumsum([0] + [len(a) for a in lists]), author_code=[c for a in lists for c in a],
+                  authors=names, citing=[a for a, _ in pairs], cited=[b for _, b in pairs],
+                  self_edge=np.zeros(len(pairs), bool), span=(2000, 2000), drops={})
+
+
+@st.composite
+def writer_corpora(draw):
+    ids = draw(st.lists(WRITER_IDS, unique=True, max_size=12))
+    names = draw(st.lists(WRITER_NAMES, unique=True, max_size=6))
+    author_lists = [draw(st.lists(st.integers(0, len(names) - 1), max_size=4)) if names else [] for _ in ids]
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1)), max_size=20)
+                 if ids else st.just([]))
+    years = draw(st.lists(st.integers(-20, 2100), min_size=len(ids), max_size=len(ids)))
+    return writer_corpus(ids, years, names, author_lists, pairs, draw(st.booleans())), draw(st.lists(
+        st.booleans(), min_size=len(ids), max_size=len(ids)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_corpora(), st.sampled_from([(1, corpus_mod._WRITE_BYTES), (2, corpus_mod._WRITE_BYTES),
+                                          (corpus_mod._WRITE_ROWS, 1), (corpus_mod._WRITE_ROWS, 9)]))
+@example((writer_corpus(["A", "", "é" * 50], [2000, 1999, 2001], ["b", "a"], [[0, 1], [], [1]],
+                        [(0, 1), (2, 1), (1, 0)]), [True, True, False]), (2, 1))  # the empty id ends an edge row
+@example((writer_corpus(["x", "y"], [2000, 2000], [], [[], []], []), [False, True]), (1, 9))  # no edges, no authors
+def test_write_tables_matches_the_csv_writer_reference(data, block):
+    """Ids of 0-100 characters, the empty id among them, non-ASCII ids and names, empty
+    region and journal labels, articles with no authors and corpora with no edges, in
+    blocks of 1 and 2 rows or 1 and 9 bytes; and a subset, whose ids are ranges of its
+    parent's buffer. A journal label with quotes sends every table to csv.writer."""
+    corpus, keep = data
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(corpus_mod, "_WRITE_ROWS", block[0]), \
+            mock.patch.object(corpus_mod, "_WRITE_BYTES", block[1]):
+        paths = os.path.join(d, "a.tsv"), os.path.join(d, "e.tsv")
+        for c in (corpus, corpus.subset(np.asarray(keep, bool))):
+            write_tables(c, *paths)
+            with open(paths[0], "rb") as fa, open(paths[1], "rb") as fe:
+                assert (fa.read(), fe.read()) == csv_writer_tables(c)
+
+
+def test_reading_decodes_labels_and_years_only_and_ids_and_names_on_demand(tmp_path):
+    ap, ep = tmp_path / "a.tsv", tmp_path / "e.tsv"
+    ap.write_text(ARTICLES_TSV)
+    ep.write_text(EDGES_TSV)
+    decoded, decode = [], corpus_mod._decode
+
+    def counted(data, lo, hi):
+        strings = decode(data, lo, hi)
+        decoded.extend(strings)
+        return strings
+
+    labels = ["2000", "2001", "2002", "2003", "Phys", "Bio", "NorthAmerica", "Europe", "Asia", "J1", "J2"]
+    with mock.patch.object(corpus_mod, "_decode", counted):
+        tables = read_tables(ap.read_bytes(), ep.read_bytes(), (2000, 2004))
+        assert sorted(decoded) == sorted(labels) and len(tables["ids"]) == 5
+        decoded.clear()
+        c = load_corpus_files(str(ap), str(ep), (2000, 2004))
+        assert sorted(decoded) == sorted(labels)
+        decoded.clear()
+        assert c.ids.tolist() == ["A", "B", "C", "D", "E"] and c.ids is c.ids
+        assert c.authors == ["a1", "a2", "a3", "a4", "a5", "a6"] and c.authors is c.authors
+        assert sorted(decoded) == ["A", "B", "C", "D", "E", "a1", "a2", "a3", "a4", "a5", "a6"]
+    assert all(type(s) is str for s in c.ids.tolist() + c.authors)
+    assert not c.ids.flags.writeable

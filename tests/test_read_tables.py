@@ -152,9 +152,10 @@ def dirty_tables(draw):
 def table_records(t):
     """read_tables output as the reference's retained article dicts."""
     author_bytes, author_lo, author_hi = t["author_fields"]
-    return [{"id": t["ids"][i], "pub_year": int(t["pub_year"][i]), "field": t["fields"][t["field_code"][i]],
+    ids = t["ids"].tolist()  # read_tables leaves the ids as UTF-8 bytes
+    return [{"id": ids[i], "pub_year": int(t["pub_year"][i]), "field": t["fields"][t["field_code"][i]],
              "region": t["regions"][t["region_code"][i]], "journal_id": t["journals"][t["journal_code"][i]],
-             "author_ids": author_bytes[author_lo[i]:author_hi[i]].decode()} for i in range(len(t["ids"]))]
+             "author_ids": author_bytes[author_lo[i]:author_hi[i]].decode()} for i in range(len(ids))]
 
 
 def by_csv(read, articles, edges, span):
@@ -212,7 +213,8 @@ def check_against_the_reference(articles_text, edges_text, span):
     assert table_records(t) == kept
     for labels, column in (("fields", "field"), ("regions", "region"), ("journals", "journal_id")):
         assert t[labels] == list(dict.fromkeys(rec[column] for rec in kept))  # codes in order of first use
-    assert [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())] == edges
+    ids = t["ids"].tolist()
+    assert [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())] == edges
     assert list(t["drops"].items()) == list(drops.items())
     assert t["rows_read"] == rows_read
 
@@ -297,8 +299,8 @@ def test_byte_path_matches_the_csv_path_and_the_reference(tables, span, edge_pie
     for name in ("pub_year", "field_code", "region_code", "journal_code", "citing", "cited"):
         x, y = by_bytes[name], by_csv_path[name]
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    assert [(by_bytes["ids"][i], by_bytes["ids"][j]) for i, j in zip(by_bytes["citing"].tolist(),
-                                                                      by_bytes["cited"].tolist())] == edges
+    ids = by_bytes["ids"].tolist()
+    assert [(ids[i], ids[j]) for i, j in zip(by_bytes["citing"].tolist(), by_bytes["cited"].tolist())] == edges
     assert list(by_bytes["drops"].items()) == list(by_csv_path["drops"].items()) == list(drops.items())
     assert by_bytes["rows_read"] == by_csv_path["rows_read"] == rows_read
     if span is not None:
@@ -362,8 +364,9 @@ def test_ids_that_end_in_nul_are_distinct(article_ids):
     edges = "\t".join(EDGE_HEADER) + "\nB\tA\0\nB\tA\nB\tA\0\0\n"
     for read in (read_tables, lambda *tables: by_csv(read_tables, *tables)):
         t = read(articles.encode(), edges.encode(), None)
-        pairs = [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
-        assert t["ids"] == article_ids
+        ids = t["ids"].tolist()
+        pairs = [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
+        assert ids == article_ids
         assert pairs == [("B", cited) for cited in ("A\0", "A", "A\0\0") if cited in article_ids]
         assert t["drops"]["dangling"] == 3 - len(pairs)
 
@@ -373,6 +376,7 @@ def test_duplicate_edges_keep_the_first_copy():
     edges = "\t".join(EDGE_HEADER) + "\nB\tA\nC\tA\nB\tA\nC\tB\nC\tA\n"
     for read in (read_tables, lambda *tables: by_csv(read_tables, *tables)):
         t = read(articles.encode(), edges.encode(), None)
-        pairs = [(t["ids"][i], t["ids"][j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
+        ids = t["ids"].tolist()
+        pairs = [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
         assert pairs == [("B", "A"), ("C", "A"), ("C", "B")]
         assert t["drops"]["duplicate_edge"] == 2

@@ -306,6 +306,28 @@ def test_region_tail_shares_single_region_and_nulls():
     assert r0["citing_top"] == 1.0
 
 
+# Cohort 2000 in file order; "A" < "A0" < "B" < "z" < "é" in byte order, which is str order. m is cited twice,
+# the others once each, so every top_pct cut but the first falls among five tied articles of alternating regions.
+TIED_ARTICLES = ART_HEADER + "".join(f"{a}\t2000\tF\t{r}\tJ\t{a}1\n" for a, r in (
+    ("é", "RegB"), ("z", "RegA"), ("A0", "RegB"), ("m", "RegA"), ("B", "RegA"), ("A", "RegB"))) + (
+    "c1\t2001\tF\tRegA\tJ\tc1\nc2\t2001\tF\tRegB\tJ\tc2\nc3\t2002\tF\tRegB\tJ\tc3\n")
+TIED_EDGES = EDGE_HEADER + "c1\tm\nc2\tm\nc1\té\nc2\tz\nc1\tA0\nc2\tB\nc1\tA\nc3\tc1\n"
+
+
+@pytest.mark.parametrize("citing_level", ["edge", "article"])
+def test_region_tails_break_ties_in_byte_order_of_loaded_ids(tmp_path, citing_level):
+    (tmp_path / "a.tsv").write_text(TIED_ARTICLES)
+    (tmp_path / "e.tsv").write_text(TIED_EDGES)
+    c = load_corpus_files(str(tmp_path / "a.tsv"), str(tmp_path / "e.tsv"), (2000, 2002))
+    cfg = StudyConfig(window=WindowSpec("forward", 2))
+    for corpus in (c, c.subset(c.ids != "A0")):
+        t = oracle.read(corpus)
+        for top_pct in (0.1, 0.3, 0.45, 0.6, 0.75, 1.0):
+            rows = region_tail_shares(corpus, cfg, top_pct=top_pct, citing_level=citing_level).rows
+            want = oracle.region_tail_rows(t, length=2, top_pct=top_pct, citing_level=citing_level)
+            assert {(r["year"], r["region"]): r for r in rows} == want, (corpus.n_articles, top_pct)
+
+
 def test_region_tail_shares_sum_to_one():
     corpus = small_corpus()
     report = region_tail_shares(corpus, StudyConfig(window=WindowSpec("forward", 3), exclude_self_citations=True))
