@@ -13,7 +13,8 @@ Two tokenisers split the files' bytes into rows of field bounds (see
 :func:`_split`): numpy splits a file at its tabs and newlines, and the ``csv``
 module reads a file with a ``"``, CR or NUL byte. One checker applies every
 row rule to either form, with the same errors and line numbers. Ids, labels
-and names of any length are ranked and looked up by one sort (:func:`_ranks`).
+and names of any length are ranked by one sort (:func:`_ranks`); edge ends are
+looked up by one 64-bit key per id, an id's bytes or their hash (:func:`_id_finder`).
 """
 
 from __future__ import annotations
@@ -405,21 +406,21 @@ def _runs(key: np.ndarray, goes_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return new, np.flatnonzero(tied)
 
 
-def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense rank, in ascending byte order (Python's str order on UTF-8), of each string
-    ``buf[lo[i]:hi[i]]``; the first ``i`` holding each rank; and each level's ``(pos, key, off, c)``:
-    sorted positions and their sorted keys of ``c`` bytes at offsets ``off`` (level 0: None, all at 0).
+    ``buf[lo[i]:hi[i]]``, and the first ``i`` holding each rank.
 
     Level 0 sorts every string on one key of its first 7 bytes (see :func:`_key`). Only
-    runs of equal keys whose strings go on are sorted further, each on one key of its run
-    number and as many bytes as fit beside it, after skipping the words all its strings
-    share: a long string costs nothing unless another shares its start."""
+    runs of equal keys whose strings go on, and are not all the same string, are sorted
+    further, each on one key of its run number and as many bytes as fit beside it, after
+    skipping the words all its strings share: a long string costs nothing unless another
+    shares its start."""
     n = hi - lo
     key = _key(buf, lo, n, 7, 0)
     order = np.argsort(key)
     key = key[order]
     new, pos = _runs(key, (n > 7)[order])
-    levels, off = [(None, key, None, 7)], np.full(len(pos), 7)
+    off = np.full(len(pos), 7)
     while len(pos):
         rows = order[pos]
         start = np.flatnonzero(new[pos])
@@ -427,59 +428,84 @@ def _ranks(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
         lead = rows[start][run]
         shared = _matched(buf, lo[rows] + off, buf, lo[lead] + off, np.minimum(n[rows], n[lead]) - off)
         off += np.minimum.reduceat(shared, start)[run]
-        c = min(7, (60 - int(run[-1]).bit_length()) // 8)
+        differ = np.maximum.reduceat(n[rows] - off, start)[run] > 0  # else every string of the run is its lead
+        pos, rows, run, off = pos[differ], rows[differ], run[differ], off[differ]
+        c = min(7, (60 - int(run.max(initial=0)).bit_length()) // 8)
         key = _key(buf, lo[rows] + off, n[rows] - off, c, run)
         by_key = np.argsort(key)  # within each run, as the run is the key's top bits
         order[pos] = rows[by_key]
         key = key[by_key]
         level_new, tied = _runs(key, (n[rows] - off > c)[by_key])
         new[pos] |= level_new
-        levels.append((pos, key, off, c))
         pos, off = pos[tied], off[tied] + c
     del n, key
     first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(order) else order
     rank = np.empty(len(order), np.int64)
     rank[order] = np.cumsum(new) - 1
-    return rank, first, levels
+    return rank, first
 
 
-def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[Callable[..., np.ndarray], list[int],
-                                                                          np.ndarray]:
-    """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of the equal
-    id ``buf[lo[i]:hi[i]]``, or -1; the first ``i`` whose id repeats an earlier one, if any;
-    and the rank of each id (see :func:`_ranks`).
-    A range is searched for its key at each level of :func:`_ranks` that its run of ids goes
-    on to, then compared in full with the id it found unless its level-0 key holds all of it."""
-    rank, row, levels = _ranks(buf, lo, hi)  # distinct ids: the rank is the sorted position
-    repeat = np.flatnonzero(row[rank] != np.arange(len(rank)))[:1].tolist()
-    levels[0] = (np.arange(len(row)), levels[0][1], np.broadcast_to(np.int64(0), row.shape), 7)  # one run at offset 0
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser of each uint64."""
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> np.uint64(31)
+
+
+def _hash(words: np.ndarray, off: np.ndarray, start: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of strings of ``n`` bytes: the sum of their 8-byte ``words``, each mixed with its
+    offset ``off`` in its string (a string's words begin at ``start``), mixed with ``n``."""
+    return _mix(np.add.reduceat(_mix(off.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + words), start)
+                ^ n.astype(np.uint64))
+
+
+def _id_keys(buf: np.ndarray, lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One uint64 key per string of ``n`` bytes at ``buf[lo:]``: a string of at most 8 bytes has
+    them (in byte order, zero-padded), so that two of the same key and length are equal; a longer
+    one has its :func:`_hash`. Also the longer strings' 8-byte words, one string after another,
+    and where each string's words begin there."""
+    key, at = _windows(buf, lo, ">u8").astype(np.uint64) & _BYTE_MASK[np.minimum(n, 8)], np.zeros(len(n), np.int64)
+    long = np.flatnonzero(n > 8)
+    w = (n[long] + 7) // 8
+    at[long] = np.cumsum(w) - w
+    off = 8 * (np.arange(w.sum()) - np.repeat(at[long], w))
+    off[at[long] + w - 1] = n[long] - 8  # a string's last word ends at its last byte
+    words = _windows(buf, np.repeat(lo[long], w) + off, "=u8")
+    key[long] = _hash(words, off, at[long], n[long])
+    return key, words, at
+
+
+def _id_finder(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Callable[..., np.ndarray]:
+    """A function that maps byte ranges ``(fbuf, flo, fhi)`` to the index ``i`` of the equal id
+    ``buf[lo[i]:hi[i]]``, or -1, where the ids are distinct. It searches each range's
+    :func:`_id_keys` key among the ids', sorted once. An id of the same key and length is the
+    range's if it has at most 8 bytes, and a longer one if their words agree; else the range goes
+    on to the next id of the same key, so a collision costs one more compare."""
+    key, id_words, id_at = _id_keys(buf, lo, hi - lo)
+    order = np.argsort(key)
+    # Past the ids, a range meets the key 0 of no id's length, then the key 1: it misses.
+    key, n = np.append(key[order], np.arange(2, dtype=np.uint64)), np.append((hi - lo)[order], -1)
 
     def find(fbuf: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
         fn = fhi - flo
-        out = np.full(len(fn), -1, np.int64)
-        if not len(row):
-            return out
-        probe, at, found = np.arange(len(fn)), np.zeros(len(fn), np.int64), []
-        for pos, key, off, c in levels:
-            j = np.minimum(np.searchsorted(pos, at), len(pos) - 1)
-            on = pos[j] == at  # the ranges whose run of ids goes on to this level
-            found.append((probe[~on], at[~on]))
-            probe, j = probe[on], j[on]
-            q = _key(fbuf, flo[probe] + off[j], fn[probe] - off[j], c, key[j] >> 8 * c + 4)
-            by_key = np.argsort(q)  # sorted probes make searchsorted far faster
-            probe, q = probe[by_key], q[by_key]
-            k = np.minimum(np.searchsorted(key, q), len(key) - 1)
-            hit = key[k] == q
-            probe, at = probe[hit], pos[k[hit]]  # where the run of ids with the range's key starts
-        probe, at = (np.concatenate(a) for a in zip(*found, (probe, at)))
-        i = row[at]
-        check = np.flatnonzero((fn[probe] > 7) & (fn[probe] == hi[i] - lo[i]))
-        same = fn[probe] <= 7
-        same[check] = _matched(fbuf, flo[probe[check]], buf, lo[i[check]], fn[probe[check]]) == fn[probe[check]]
-        out[probe[same]] = i[same]
+        q, words, word_at = _id_keys(fbuf, flo, fn)
+        probe = np.argsort(q)  # in key order, searchsorted and the gathers at ``at`` run forwards
+        q, out = q[probe], np.full(len(fn), -1, np.int64)
+        at = np.searchsorted(key[:-2], q)
+        while len(probe):
+            hit = key[at] == q
+            probe, at, q = probe[hit], at[hit], q[hit]
+            same = fn[probe] == n[at]
+            check = np.flatnonzero(same & (n[at] > 8))
+            p, a, w = probe[check], order[at[check]], (n[at[check]] + 7) // 8  # ranges, their ids, words each
+            i = np.repeat(word_at[p] - np.cumsum(w) + w, w) + np.arange(w.sum())  # the checked ranges' words
+            same[check] = np.logical_and.reduceat(words[i] == id_words[i + np.repeat(id_at[a] - word_at[p], w)],
+                                                  np.cumsum(w) - w)
+            out[probe[same]] = order[at[same]]
+            probe, at, q = probe[~same], at[~same] + 1, q[~same]  # the next id of the same key
         return out
 
-    return find, repeat, rank
+    return find
 
 
 def _first_use_codes(rank: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +529,7 @@ def _years(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, lis
     """The year in each byte range ``data[lo[i]:hi[i]]``, read with ``int`` once per
     distinct string, and ``(i, message)`` of the first that is unparsable or outside
     int32, if any."""
-    rank, first, _ = _ranks(np.frombuffer(data, np.uint8), lo, hi)
+    rank, first = _ranks(np.frombuffer(data, np.uint8), lo, hi)
     value, errors = np.zeros(len(first), np.int64), []
     for r, (i, text) in enumerate(zip(first.tolist(), _decode(data, lo[first], hi[first]))):
         try:
@@ -527,13 +553,15 @@ def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, n
     abuf = np.frombuffer(data, np.uint8)
     year, errors = _years(data, *_field(ends, 1))
     errors += [(i, "empty field label") for i in np.flatnonzero(ends[:, 3] == ends[:, 2] + 1)[:1].tolist()]
-    find, repeat, id_rank = _id_finder(abuf, *_field(ends, 0))
-    errors += [(i, f"duplicate article id {data[ends[i, 0] + 1:ends[i, 1]].decode()!r}") for i in repeat]
+    id_rank, first = _ranks(abuf, *_field(ends, 0))
+    errors += [(i, f"duplicate article id {data[ends[i, 0] + 1:ends[i, 1]].decode()!r}")
+               for i in np.flatnonzero(first[id_rank] != np.arange(len(id_rank)))[:1].tolist()]
     if errors:  # the earliest row's; in a row, the first of year, field and id
         row, message = min(errors, key=lambda e: e[0])
         raise DataError(f"articles line {line[row]}: {message}")
     if bad is not None:
         raise bad
+    find = _id_finder(abuf, *_field(ends, 0))
     kept = np.flatnonzero((year >= start) & (year <= end))
     row_of = np.full(len(ends) + 1, -1, np.int64)  # retained row of each article; -1 (also at [-1]): none
     row_of[kept] = np.arange(len(kept))
@@ -558,7 +586,7 @@ def _parse(articles: bytes, edges: bytes, start: int, end: int) -> tuple[dict, n
     for col, codes, labels in ((2, "field_code", "fields"), (3, "region_code", "regions"),
                                (4, "journal_code", "journals")):
         lo, hi = _field(ends, col)
-        label_rank, label_row, _ = _ranks(abuf, lo, hi)
+        label_rank, label_row = _ranks(abuf, lo, hi)
         columns[codes], by_code = _first_use_codes(label_rank, label_row)
         columns[labels] = _decode(data, lo[label_row[by_code]], hi[label_row[by_code]])
     columns["author_fields"] = (data, *_field(ends, 5))
@@ -636,7 +664,7 @@ def _code_authors(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     tok_lo, tok_hi = tok_lo[named], tok_hi[named]
     del named
 
-    rank, first, _ = _ranks(buf, tok_lo, tok_hi)
+    rank, first = _ranks(buf, tok_lo, tok_hi)
     article = np.searchsorted(lo, tok_lo, "right") - 1  # after _ranks, whose arrays set load_corpus' peak
     name_lo, name_hi = tok_lo[first], tok_hi[first]  # by rank
     del tok_lo, tok_hi

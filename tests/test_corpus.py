@@ -449,3 +449,41 @@ def test_reading_decodes_labels_and_years_only_and_ids_and_names_on_demand(tmp_p
         assert sorted(decoded) == ["A", "B", "C", "D", "E", "a1", "a2", "a3", "a4", "a5", "a6"]
     assert all(type(s) is str for s in c.ids.tolist() + c.authors)
     assert not c.ids.flags.writeable
+
+
+# Strings of 0-80 bytes: up to 9 words drawn from three 8-byte words (two share 7 bytes), then up to 8 bytes of
+# "a", "b" or NUL, so that lengths of 7, 8 and 9 bytes, shared words and strings that end in NUL are common.
+WORD_STRINGS = st.builds(bytes.__add__, st.lists(st.sampled_from([b"\0" * 8, b"abcdefgh", b"abcdefgi"]), max_size=9)
+                         .map(b"".join), st.lists(st.sampled_from(b"ab\0"), max_size=8).map(bytes))
+# Strings of 7 to 9 bytes that share their first 7, 8 or all 9.
+BOUNDARY = [b"abcdefg", b"abcdefgh", b"abcdefgi", b"abcdefgh\0", b"abcdefghi", b"abcdefgia", b"\0" * 8, b"\0" * 9]
+
+
+def packed(strings):
+    """One buffer holding ``strings`` between 0xFF bytes, and each string's range in it."""
+    buf, lo, hi = bytearray(b"\xff"), [], []
+    for s in strings:
+        lo.append(len(buf))
+        buf += s + b"\xff"
+        hi.append(len(buf) - 1)
+    return np.frombuffer(bytes(buf), np.uint8), np.array(lo, np.int64), np.array(hi, np.int64)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(WORD_STRINGS, st.sampled_from(BOUNDARY)), max_size=30), st.lists(WORD_STRINGS, max_size=30))
+@example(BOUNDARY[::2], BOUNDARY[1::2])
+def test_ranks_and_id_lookup_match_sorted_bytes_and_a_dict(collide, strings, probes):
+    """``_ranks`` against ``sorted`` on the bytes, with every other string repeated (runs of one string), and the
+    id lookup against a dict; ``collide`` hashes every id over 8 bytes to one key."""
+    strings = strings + strings[::2]
+    rank, first = corpus_mod._ranks(*packed(strings))
+    distinct = sorted(set(strings))
+    assert rank.tolist() == [distinct.index(s) for s in strings]
+    assert first.tolist() == [strings.index(s) for s in distinct]
+    ids = list(dict.fromkeys(strings))
+    index = {s: i for i, s in enumerate(ids)}
+    constant = lambda words, off, start, n: np.zeros(len(n), np.uint64)  # noqa: E731
+    with mock.patch.object(corpus_mod, "_hash", constant if collide else corpus_mod._hash):
+        find = corpus_mod._id_finder(*packed(ids))
+        assert find(*packed(probes + ids)).tolist() == [index.get(s, -1) for s in probes + ids]

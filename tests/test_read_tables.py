@@ -29,8 +29,10 @@ from hypothesis import strategies as st
 
 import oracle
 from citeconc import corpus as corpus_mod
+from citeconc import synthgen
 from citeconc.cli import main
-from citeconc.corpus import DataError, load_corpus, read_tables
+from citeconc.corpus import DataError, load_corpus, read_tables, write_tables
+from citeconc.synthgen import GenParams
 
 ARTICLE_HEADER = ["id", "pub_year", "field", "region", "journal_id", "author_ids"]
 EDGE_HEADER = ["citing_id", "cited_id"]
@@ -240,13 +242,15 @@ def check_against_the_reference(articles_text, edges_text, span):
 
 # -- the byte path against the csv tokeniser -----------------------------------
 
-# Ids of one and two 8-byte words, past 64 bytes, two that share their first 128 bytes, and the empty id.
-BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "z" * 70, "z" * 70 + "7", "w" * 128 + "a tail",
-            "w" * 128 + "b", ""]
-# Never articles (dangling): short, a prefix of an id, equal to an id in its first word, past
-# 64 bytes, an id's first 129 bytes, and an id with a NUL after its 71 bytes (which the csv
-# tokeniser reads).
-NOT_IDS = ["X", "an id of", "an id of 2 wordz", "an id of 2 words!", "z" * 69, "w" * 128 + "a", "z" * 70 + "7\0"]
+# Ids of one and two 8-byte words, exactly 8 and 9 bytes (the longest ids keyed by their bytes and the
+# shortest keyed by a hash), past 64 bytes, two that share their first 128 bytes, and the empty id.
+BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "p0000000", "p0000001", "p00000012", "z" * 70,
+            "z" * 70 + "7", "w" * 128 + "a tail", "w" * 128 + "b", ""]
+# Never articles (dangling): short, a prefix of an id, equal to an id in its first word (also an 8-byte
+# id's 8 bytes and one more), past 64 bytes, an id's first 129 bytes, and an id with a NUL after its 71
+# bytes (which the csv tokeniser reads).
+NOT_IDS = ["X", "an id of", "an id of 2 wordz", "an id of 2 words!", "p0000000x", "p00000013", "z" * 69,
+           "w" * 128 + "a", "z" * 70 + "7\0"]
 AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"]), max_size=5).map(";".join)
 
 
@@ -380,3 +384,30 @@ def test_duplicate_edges_keep_the_first_copy():
         pairs = [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
         assert pairs == [("B", "A"), ("C", "A"), ("C", "B")]
         assert t["drops"]["duplicate_edge"] == 2
+
+
+@pytest.mark.parametrize("edge_piece", [1 << 12, corpus_mod._EDGE_PIECE])
+def test_ids_behind_a_shared_65_byte_prefix_load_to_the_same_corpus(tmp_path, edge_piece):
+    """Every id of a generated corpus's files prefixed by the same 65 bytes: each 7-byte id, keyed by its bytes,
+    becomes a 72-byte one keyed by a hash of 9 words, 8 of which every id shares. The corpus read is the same but
+    for the ids."""
+    corpus = synthgen.generate(GenParams(span=(2000, 2004), articles_per_year=(300,) * 5,
+                                         refs_per_article=(0.0, 3.0, 4.0, 4.0, 4.0), self_citation_rate=0.2, seed=3))
+    write_tables(corpus, tmp_path / "a.tsv", tmp_path / "e.tsv")
+    articles, edges = (tmp_path / "a.tsv").read_bytes(), (tmp_path / "e.tsv").read_bytes()
+    prefix = b"https://doi.org/10.1000/" + b"x" * 41
+    assert len(prefix) == 65 and len(corpus.id_utf8.buf) == 7 * corpus.n_articles
+    head, _, rows = articles.partition(b"\n")
+    long_articles = head + b"\n" + re.sub(rb"(?m)^", prefix, rows.rstrip(b"\n")) + b"\n"
+    head, _, rows = edges.partition(b"\n")
+    long_edges = head + b"\n" + re.sub(rb"(?m)^|\t", lambda m: m.group() + prefix, rows.rstrip(b"\n")) + b"\n"
+    with mock.patch.object(corpus_mod, "_EDGE_PIECE", edge_piece):
+        short, long = load_corpus(articles, edges, corpus.span), load_corpus(long_articles, long_edges, corpus.span)
+    assert long.ids.tolist() == [prefix.decode() + i for i in short.ids.tolist()] == [prefix.decode() + i for i in
+                                                                                        corpus.ids.tolist()]
+    for name in ("citing", "cited", "self_edge", "pub_year", "field_code", "region_code", "journal_code",
+                 "author_ptr", "author_code", "id_rank"):
+        assert np.array_equal(getattr(long, name), getattr(short, name)), name
+    assert long.drops == short.drops and long.rows_read == short.rows_read
+    for name in ("citing", "cited", "self_edge", "pub_year"):  # and both as generated
+        assert np.array_equal(getattr(short, name), getattr(corpus, name)), name
