@@ -9,10 +9,9 @@ author_ids is a ``;``-separated list (possibly empty). :func:`read_tables` is
 the one row parser: it holds the row, span and edge-drop rules that both
 :func:`load_corpus` (``analyze``) and ``citeconc validate`` apply.
 
-Two tokenisers split the files' bytes into rows of field bounds (see
-:func:`_split`): numpy splits a file at its tabs and newlines, and the ``csv``
-module reads a file with a ``"``, CR or NUL byte. One checker applies every
-row rule to either form, with the same errors and line numbers. Ids, labels
+One numpy tokeniser splits the files' bytes into rows of field bounds as
+``csv.reader`` reads them, quotes and CRs included (:func:`_split`), and one
+checker applies every row rule, with csv's errors and line numbers. Ids, labels
 and names of any length are ranked by one sort (:func:`_ranks`); edge ends are
 looked up by one 64-bit key per id, an id's bytes or their hash (:func:`_id_finder`).
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import sys
 from typing import Callable, Iterable, Iterator
@@ -70,7 +68,7 @@ class Corpus:
 
     Article ids and author names are kept as UTF-8 bytes (``id_utf8``, ``author_utf8``) and
     decoded only when read as strings, through ``ids`` (an object array) and ``authors`` (a
-    list), or written quoted. Article ``i``'s id ranks ``id_rank[i]`` in byte order, which is
+    list). Article ``i``'s id ranks ``id_rank[i]`` in byte order, which is
     ``str`` order; ids are distinct (a repeat is a :class:`DataError`, which for input files
     :func:`read_tables` raises with the line number). The loader, the generator and
     :meth:`subset` pass the ranks they know; otherwise the ids are ranked here.
@@ -217,124 +215,118 @@ def _compute_self_edges(author_ptr: np.ndarray, author_key: np.ndarray,
     return out
 
 
-def _read_header(reader: Iterator[list[str]], columns: list[str], name: str) -> None:
-    """Read the first row of a csv ``reader`` over file ``name``, which must be ``columns``."""
-    try:
-        header = next(reader, None)
-    except csv.Error as e:
-        raise DataError(f"{name} line 1: {e}") from None
-    if header is None or [c.strip() for c in header] != columns:
-        raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
+def _sections(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quoted sections of ``buf``, which starts a row, as ``csv.reader`` reads them: the first
+    byte of each and the byte after its last, in order (``len(buf) + 1`` for one left open), and the
+    quotes that unquoting removes. A run of quotes where a field starts (at byte 0 or after a tab,
+    LF or CR) opens a section unless an earlier one holds it. Past the opening quote ``""`` stands
+    for ``"``, so the section closes at the last quote of the first run of odd length (the opening
+    run counted without that quote), and each run in it drops its quotes at offsets 0, 2, 4, ..."""
+    q = np.flatnonzero(buf == 34)
+    new = np.ones(len(q), bool)
+    new[1:] = q[1:] != q[:-1] + 1
+    run = np.flatnonzero(new)  # each run's first quote, as an index of q
+    last = np.append(run, len(q))[1:] - 1
+    before = buf[q[run] - 1]
+    cand = np.flatnonzero((q[run] == 0) | (before == 9) | (before == 10) | (before == 13))
+    odd = np.append(np.flatnonzero((last - run) % 2 == 0), len(run))  # the runs of odd length, then none
+    close = np.append(q[last], len(buf))[np.where((last - run)[cand] % 2, cand,
+                                                  odd[np.searchsorted(odd[:-1], cand, "right")])]
+    after = np.searchsorted(q[run[cand]], close, "right")  # the first candidate past each one's section
+    opens = np.ones(len(cand), bool)
+    for i in np.flatnonzero(after > np.arange(1, len(cand) + 1)).tolist():  # sections holding candidates
+        if opens[i]:
+            opens[i + 1:after[i]] = False
+    first = run[cand[opens]]
+    new[np.minimum(first + 1, len(q) - 1)] = True  # the opening quote is a run of its own
+    bounds = np.column_stack([q[first], close[opens] + 1]).ravel()
+    offset = np.arange(len(q)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    return bounds, q[(np.searchsorted(bounds, q, "right") % 2 == 1) & (offset % 2 == 0)]
 
 
-def _split_bytes(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tuple]:
-    """:func:`_split` of a table with no ``"``, CR or NUL byte, with numpy: a row is
-    a non-blank line, and its fields are the runs between its tabs."""
-    width, limit = len(columns), csv.field_size_limit()
-    start = data.find(b"\n") + 1 or len(data)
-    _read_header(csv.reader([data[:start].decode()], delimiter="\t"), columns, name)
-    line = 2  # the line the piece starts on
-    while True:
-        stop = data.find(b"\n", start + size) + 1 or len(data)
-        buf = np.frombuffer(data, np.uint8, stop - start, start)
-        newline = np.flatnonzero(buf == 10)
-        line_lo = np.concatenate([[-1], newline])  # the byte before each line
-        line_hi = np.append(newline, len(buf))
-        del newline
-        nonblank = line_hi > line_lo + 1
-        line_lo, line_hi = line_lo[nonblank], line_hi[nonblank]
-        tabs = np.flatnonzero(buf == 9)
-        k, message = len(line_lo), None  # the rows split, and why the next is not
-        # With the right count, row r's tabs are block r of the tab list, which must lie in line r.
-        if len(tabs) != (width - 1) * k or k and ((tabs[::width - 1] <= line_lo).any()
-                                                  or (tabs[width - 2::width - 1] >= line_hi).any()):
-            count = np.searchsorted(tabs, line_hi) - np.searchsorted(tabs, line_lo)
-            k = int(np.argmax(count != width - 1))
-            message = f"expected {width} columns, got {count[k] + 1}"
-        # A field over the csv module's limit is its error, raised before the row's width is seen.
-        for r in np.flatnonzero(line_hi[:k + 1] - line_lo[:k + 1] > limit + 1).tolist():  # rows over the limit
-            try:
-                next(csv.reader([data[start + line_lo[r] + 1:start + line_hi[r]].decode()], delimiter="\t"))
-            except csv.Error as e:
-                k, message = r, str(e)
-                break
-        rows = np.flatnonzero(nonblank)  # the line each row starts on
-        rows += line
-        bad = None if message is None else DataError(f"{name} line {rows[k]}: {message}")
-        ends = np.column_stack([line_lo[:k], tabs[:(width - 1) * k].reshape(k, width - 1), line_hi[:k]])
-        del line_lo, line_hi, tabs
-        ends += start
-        yield data, ends, rows[:k], bad
-        if bad is not None or stop == len(data):
-            return
-        del ends, rows  # before the next piece's arrays exist
-        line += len(nonblank) - 1  # the piece's newlines
-        start = stop
-
-
-# Rows _split_csv reads and encodes at a time.
-_CSV_ROWS = 1 << 12
-
-
-def _split_csv(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tuple]:
-    """:func:`_split` with the csv module. Rows are read _CSV_ROWS at a time, and a
-    batch's fields are joined again, each followed by a tab or, the last of its row,
-    a newline, and encoded at once."""
-    width = len(columns)
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), delimiter="\t")
-    _read_header(reader, columns, name)
-    line, text, seps, lines = reader.line_num + 1, bytearray(), [], []  # line: where the next row starts
-    while True:
-        rows, error = [], None
-        try:
-            for row in itertools.islice(reader, _CSV_ROWS):
-                rows.append(row)
-        except csv.Error as e:
-            error = str(e)
-        # A row spans one line more than the line breaks in its fields.
-        spans = [1] * len(rows) if reader.line_num + 1 - line == len(rows) else [
-            1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows]
-        start = line + np.cumsum([0] + spans)
-        count = np.fromiter(map(len, rows), np.int64, len(rows))
-        k = int(np.argmax(np.append((count != width) & (count > 0), True)))  # the first row of another width
-        if k < len(rows):
-            error = f"expected {width} columns, got {count[k]}"
-        line, done = int(start[k]), error is not None or len(rows) < _CSV_ROWS
-        lines.append(start[:k][count[:k] > 0])
-        rows = list(filter(None, rows[:k]))
-        joined = "\n".join(itertools.chain(map("\t".join, rows), [""]))
-        encoded = joined.encode()
-        sep = np.cumsum(np.fromiter(map(len, itertools.chain.from_iterable(rows)), np.int64) + 1) - 1
-        if len(encoded) != len(joined):  # character offsets to byte offsets
-            sep = np.flatnonzero((np.frombuffer(encoded, np.uint8) & 0xC0) != 0x80)[sep]
-        seps.append(sep.reshape(-1, width) + len(text))
-        text += encoded
-        if done or len(text) >= size:
-            ends = np.concatenate(seps)
-            ends = np.column_stack([np.append(-1, ends[:-1, -1])[:len(ends)], ends])  # a row starts after the last
-            bad = None if error is None else DataError(f"{name} line {line}: {error}")
-            yield text, ends, np.concatenate(lines), bad
-            if done:
-                return
-            text, ends, seps, lines = bytearray(), None, [], []  # before the next piece's arrays exist
+def _outside(at: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The separators at ``at`` outside the :func:`_sections` ``bounds``: those inside are content."""
+    return at[np.searchsorted(bounds, at, "right") % 2 == 0] if len(bounds) else at
 
 
 def _split(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tuple]:
-    """The rows of file ``name``, the TSV table ``data`` with the header ``columns``,
-    in pieces ``(data, ends, line, bad)`` of about ``size`` bytes: the fields of each
-    non-blank row lie in ``data`` at ``ends`` (see :func:`_field`), and it starts on
-    physical line ``line``. ``bad`` is the :class:`DataError` of the next row, which
-    could not be split (another width, a field over the csv module's limit or a
-    ``csv.Error``), or None; no piece follows it. A file with a ``"``, CR or NUL byte
-    is split by the csv module, any other with numpy."""
+    """The rows of file ``name``, the TSV table ``data`` with the header ``columns``, as
+    ``csv.reader(delimiter="\\t")`` reads them, in pieces ``(data, ends, line, bad)`` of about
+    ``size`` bytes: the fields of each non-blank row lie in ``data`` at ``ends`` (see
+    :func:`_field`), and it starts on physical line ``line``. ``bad`` is the :class:`DataError` of
+    the next row (another width, or a field over ``csv.field_size_limit()``), or None; no piece
+    follows it. Tabs, LFs and CRs outside quotes (:func:`_sections`) end fields and rows: a CR, or
+    an LF after none, ends a row. A piece ends after a row and holds every section it opens; its
+    ``data`` is the file's bytes, or a copy of it without the quotes that unquoting removes."""
     try:
         data.isascii() or data.decode()
     except UnicodeDecodeError as e:
         head = data[:e.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise DataError(f"{name} line {line}: {e}") from None
-    split = _split_csv if any(c in data for c in (b'"', b"\r", b"\0")) else _split_bytes
-    return split(data, columns, name, size)
+    width, limit = len(columns), csv.field_size_limit()
+    over = f"field larger than field limit ({limit})"
+    quoted, cr = b'"' in data, b"\r" in data
+    start, line, reach = 0, 1, size  # where the piece starts, on which line, and how far it reaches
+    while True:
+        found = [at for at in (data.find(b"\n", start + reach), data.find(b"\r", start + reach) if cr else -1)
+                 if at >= 0]
+        stop = min(found) + 1 if found else len(data)  # after the first line end it reaches, or at the end
+        stop += data[stop - 1:stop + 1] == b"\r\n"
+        buf = np.frombuffer(data, np.uint8, stop - start, start)
+        bounds, removed = _sections(buf) if quoted else (np.zeros(0, np.int64),) * 2
+        if len(bounds) and bounds[-1] > len(buf) and stop < len(data):  # a section goes on past the piece
+            reach = 2 * (stop - start)
+            continue
+        nl = np.flatnonzero(buf == 10)
+        if cr:  # a line also ends at a CR before no LF
+            crs = np.flatnonzero(buf == 13)
+            nl = np.sort(np.append(nl, crs[buf[np.minimum(crs + 1, len(buf) - 1)] != 10]))
+        breaks, nl = nl, _outside(nl, bounds)
+        line_lo, line_hi = np.append(-1, nl), np.append(nl, len(buf))  # a row ends where its line does
+        if cr:  # or at the CR of a CRLF
+            line_hi[:-1] -= (buf[nl] == 10) & (buf[np.maximum(nl - 1, 0)] == 13)
+        rows = np.arange(len(line_lo)) if len(breaks) == len(nl) else np.searchsorted(breaks, line_lo, "right")
+        n_lines = len(breaks)
+        del breaks, nl
+        nonblank = line_hi > line_lo + 1
+        header = bool(nonblank[0])
+        nonblank[0] |= start == 0  # the file's first row is its header, blank or not
+        tabs = _outside(np.flatnonzero(buf == 9), bounds)
+        if len(removed):
+            buf = np.delete(buf, removed)
+            tabs, line_lo, line_hi = (at - np.searchsorted(removed, at) for at in (tabs, line_lo, line_hi))
+        line_lo, line_hi, rows = line_lo[nonblank], line_hi[nonblank], rows[nonblank] + line
+        k, message = len(line_lo), None  # the rows split, and why the next is not
+
+        def cells(r: int) -> list[str]:  # the fields of row r
+            cut = tabs[np.searchsorted(tabs, line_lo[r]):np.searchsorted(tabs, line_hi[r])]
+            return [buf[a + 1:b].tobytes().decode() for a, b in itertools.pairwise([line_lo[r], *cut, line_hi[r]])]
+
+        # With the right count, row r's tabs are block r of the tab list, which must lie in row r.
+        if len(tabs) != (width - 1) * k or width > 1 and k and ((tabs[::width - 1] <= line_lo).any()
+                                                                or (tabs[width - 2::width - 1] >= line_hi).any()):
+            count = np.searchsorted(tabs, line_hi) - np.searchsorted(tabs, line_lo)
+            k = int(np.argmax(count != width - 1))
+            message = f"expected {width} columns, got {count[k] + 1}"
+        for r in np.flatnonzero(line_hi[:k + 1] - line_lo[:k + 1] > limit + 1).tolist():  # rows over the limit
+            if max(map(len, cells(r))) > limit:
+                k, message = r, over
+                break
+        if start == 0 and (k or message != over):  # the header, unless a field of it is over the limit
+            if not header or not k or [c.strip() for c in cells(0)] != columns:
+                raise DataError(f"{name}: bad or missing header, expected {chr(9).join(columns)!r}")
+            line_lo, line_hi, rows, tabs, k = line_lo[1:], line_hi[1:], rows[1:], tabs[width - 1:], k - 1
+        ends = np.column_stack([line_lo[:k], tabs[:(width - 1) * k].reshape(k, width - 1), line_hi[:k]])
+        del line_lo, line_hi, tabs
+        bad = None if message is None else DataError(f"{name} line {rows[k]}: {message}")
+        if not len(removed):
+            ends += start
+        yield buf.tobytes() if len(removed) else data, ends, rows[:k], bad
+        if bad is not None or stop == len(data):
+            return
+        del ends, rows  # before the next piece's arrays exist
+        start, line, reach = stop, line + n_lines, size
 
 
 def _field(ends: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -603,8 +595,8 @@ def read_tables(articles: bytes, edges: bytes, span: tuple[int, int] | None) -> 
     this precedence, as self_loop, dangling (an endpoint not retained),
     future_dated (cites a later year) and duplicate_edge (first copy kept).
 
-    The tables are the UTF-8 bytes of both files, split by :func:`_split`'s
-    numpy or csv tokeniser and checked by one checker either way.
+    The tables are the UTF-8 bytes of both files, split by :func:`_split` as
+    ``csv.reader`` splits them.
 
     Returns the :class:`Corpus` keyword arguments ``ids`` (the id fields, left in the
     articles table's bytes), ``id_rank``, ``pub_year``, the field/region/journal codes and
@@ -738,17 +730,28 @@ def _gather(buf: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     return buf[np.cumsum(at, out=at)]
 
 
-def _with_separators(parts: list[tuple[_Utf8, bytes]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The strings of the parts ``(strings, sep)``, each followed by its part's one byte ``sep``, in
-    one buffer; and each such segment's start and length there, numbered part after part."""
-    n = np.concatenate([strings.hi - strings.lo + 1 for strings, _ in parts])
+# The bytes for which a string is written quoted.
+_QUOTED = np.isin(np.arange(256), list(b'\t"\r\n'))
+
+
+def _with_separators(parts: list[tuple[_Utf8, bytes, bytes]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The strings of the parts ``(strings, sep, wrap)``, each followed by its part's one byte ``sep``, in
+    one buffer; each such segment's start and length there, numbered part after part; and the numbers
+    of the strings that hold a tab, ``"``, CR or LF, which come last, between two ``wrap``, ``"`` doubled."""
+    count = [len(strings) for strings, _, _ in parts]
+    buf = np.concatenate([strings.compact().buf for strings, _, _ in parts])
+    n = np.concatenate([strings.hi - strings.lo for strings, _, _ in parts])
+    end = np.cumsum(n)
+    quoted = np.unique(np.searchsorted(end, np.flatnonzero(_QUOTED[buf]), "right"))
+    part = np.searchsorted(np.cumsum(count), quoted, "right").tolist()
+    extra = [parts[p][2] + buf[b - k:b].tobytes().replace(b'"', b'""') + parts[p][2] + parts[p][1]
+             for p, b, k in zip(part, end[quoted].tolist(), n[quoted].tolist())]
+    src = np.insert(buf, end, np.repeat(np.frombuffer(b"".join(sep for _, sep, _ in parts), np.uint8), count))
+    n += 1
     lo = np.cumsum(n) - n
-    src = np.empty(int(n.sum()), np.uint8)
-    text = np.ones(len(src), bool)
-    text[lo + n - 1] = False
-    src[~text] = np.repeat(np.frombuffer(b"".join(sep for _, sep in parts), np.uint8), [len(s) for s, _ in parts])
-    src[text] = np.concatenate([strings.compact().buf for strings, _ in parts])
-    return src, lo, n
+    n[quoted] = np.fromiter(map(len, extra), np.int64, len(extra))
+    lo[quoted] = len(src) + np.cumsum(n[quoted]) - n[quoted]
+    return np.append(src, np.frombuffer(b"".join(extra), np.uint8)), lo, n, quoted
 
 
 def _write_rows(path: str, header: list[str], row_bytes: np.ndarray, block: Callable[[int, int], np.ndarray]) -> None:
@@ -767,57 +770,43 @@ def _write_rows(path: str, header: list[str], row_bytes: np.ndarray, block: Call
             start = stop
 
 
-def _write_quoted(corpus: Corpus, articles_path: str, edges_path: str) -> None:
-    """:func:`write_tables` through ``csv.writer``, which quotes the strings holding a tab, ``"``, CR or LF."""
-    ids, authors, ptr, codes = corpus.ids, corpus.authors, corpus.author_ptr.tolist(), corpus.author_code.tolist()
-    articles = ([ids[i], year, corpus.fields[f], corpus.regions[r], corpus.journals[j],
-                 ";".join(authors[c] for c in codes[ptr[i]:ptr[i + 1]])]
-                for i, (year, f, r, j) in enumerate(zip(corpus.pub_year.tolist(), corpus.field_code.tolist(),
-                                                        corpus.region_code.tolist(), corpus.journal_code.tolist())))
-    for path, header, rows in ((articles_path, ARTICLE_COLUMNS, articles),
-                               (edges_path, EDGE_COLUMNS, zip(ids[corpus.citing], ids[corpus.cited]))):
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, delimiter="\t", lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-
-
-# The bytes after which csv.writer quotes a field.
-_QUOTED = np.isin(np.arange(256), list(b'\t"\r\n'))
-
-
 def write_tables(corpus: Corpus, articles_path: str, edges_path: str) -> None:
-    """Emit the corpus back to the tabular formats accepted by load_corpus, as ``csv.writer``
-    would. Each block of rows is one gather of segments, each a string followed by its tab or
-    ``;`` (see :func:`_write_rows`); ids and names are never decoded unless one needs quoting."""
-    labels = corpus.fields + corpus.regions + corpus.journals
-    if any(_QUOTED[v.buf].any() for v in (corpus.id_utf8, corpus.author_utf8, _Utf8.of(labels))):
-        return _write_quoted(corpus, articles_path, edges_path)
+    """Emit the corpus back to the tabular formats accepted by load_corpus, as ``csv.writer`` would
+    but that a CR is quoted too. Each block of rows is one gather of segments, each a string followed
+    by its tab or ``;`` (see :func:`_write_rows`); an author list with a name that is quoted is
+    wrapped in two more, a quote each."""
     years, year_code = np.unique(corpus.pub_year, return_inverse=True)
-    parts = [(corpus.id_utf8, b"\t"), (_Utf8.of(map(str, years.tolist())), b"\t"),
-             *((_Utf8.of(v), b"\t") for v in (corpus.fields, corpus.regions, corpus.journals)),
-             (corpus.author_utf8, b";"), (_Utf8.of([""]), b";")]  # the last: an empty author list
-    src, seg_lo, seg_n = _with_separators(parts)
-    first = np.cumsum([0] + [len(strings) for strings, _ in parts])  # each part's first segment
+    parts = [(corpus.id_utf8, b"\t", b'"'), (_Utf8.of(map(str, years.tolist())), b"\t", b""),
+             *((_Utf8.of(v), b"\t", b'"') for v in (corpus.fields, corpus.regions, corpus.journals)),
+             (corpus.author_utf8, b";", b""), (_Utf8.of([""]), b";", b""), (_Utf8.of([""]), b'"', b"")]
+    src, seg_lo, seg_n, quoted = _with_separators(parts)  # the last two: an empty author list, and a quote
+    first = np.cumsum([0] + [len(strings) for strings, _, _ in parts])  # each part's first segment
     columns = list(zip(first, (np.arange(corpus.n_articles), year_code, corpus.field_code, corpus.region_code,
                                corpus.journal_code)))
     ptr, codes = corpus.author_ptr, corpus.author_code
     n_names = np.diff(ptr)
     name_end = np.concatenate([[0], np.cumsum(seg_n[first[5] + codes])])
-    row_bytes = name_end[ptr[1:]] - name_end[ptr[:-1]] + (n_names == 0)  # the names, or an empty list's ";"
+    wrap = np.zeros(corpus.n_articles, bool)  # the author lists written between quotes
+    wrap[np.searchsorted(ptr, np.flatnonzero(np.isin(first[5] + codes, quoted)), "right") - 1] = True
+    row_bytes = name_end[ptr[1:]] - name_end[ptr[:-1]] + (n_names == 0) + 2 * wrap  # an empty list's ";", quotes
     for at, code in columns:
         row_bytes += seg_n[at + code]
     del name_end
 
     def articles(a: int, b: int) -> np.ndarray:  # segments id, year, field, region, journal, then names
-        k = 5 + np.maximum(n_names[a:b], 1)
+        w = wrap[a:b]
+        k = 5 + np.maximum(n_names[a:b], 1) + 3 * w
         row = np.cumsum(k) - k
         seg = np.full(row[-1] + k[-1], first[6])
         for j, (at, code) in enumerate(columns):
             seg[row + j] = at + code[a:b]
-        seg[np.repeat(row + 5 - (ptr[a:b] - ptr[a]), n_names[a:b]) + np.arange(ptr[b] - ptr[a])] = \
+        seg[np.repeat(row + 5 + w - (ptr[a:b] - ptr[a]), n_names[a:b]) + np.arange(ptr[b] - ptr[a])] = \
             first[5] + codes[ptr[a]:ptr[b]]
-        return _gather(src, seg_lo[seg], seg_n[seg])
+        row, k = row[w], k[w]
+        seg[row + 5] = seg[row + k - 2] = first[7]  # a wrapped list's quotes, then its ";"
+        n = seg_n[seg]
+        n[row + k - 3] -= 1  # but for its last name's
+        return _gather(src, seg_lo[seg], n)
 
     def edges(a: int, b: int) -> np.ndarray:  # the ids are the first segments
         seg = np.column_stack([corpus.citing[a:b], corpus.cited[a:b]]).ravel()

@@ -372,21 +372,22 @@ def test_code_authors_matches_the_per_article_loop(fields, gap):
     assert all((np.diff(author_rank[a:b]) > 0).all() for a, b in zip(ptr[:-1], ptr[1:]))
 
 
-# Ids of 0 to 100 characters, some non-ASCII, holding no byte that csv.writer quotes.
-WRITER_IDS = st.text(st.sampled_from(["a", "B", "0", " ", ";", "\0", "é", "李"]), max_size=100)
-WRITER_NAMES = st.text(st.sampled_from(["a", "b", " ", "\0", "é", "李"]), min_size=1, max_size=12)
+# Ids of 0 to 100 characters and names of 1 to 12, some non-ASCII, some holding a tab, a quote, an LF or a CR.
+WRITER_IDS = st.text(st.sampled_from(["a", "B", "0", " ", ";", "\0", "é", "李", "\t", '"', "\n", "\r"]), max_size=100)
+WRITER_NAMES = st.text(st.sampled_from(["a", "b", " ", "\0", "é", "李", "\t", '"', "\n", "\r"]), min_size=1,
+                       max_size=12)
 
 
-def writer_corpus(ids, years, names, author_lists, pairs, quoted_journal=False):
+def writer_corpus(ids, years, names, author_lists, pairs, journal="J2"):
     """A corpus built from its columns: articles ``ids`` with ``years``, each with the names
     ``author_lists[i]`` (indices into ``names``), edges ``pairs``; regions and journals
-    include the empty label, and with ``quoted_journal`` a journal label that needs quoting."""
+    include the empty label, and the journals ``journal``."""
     n = len(ids)
     lists = [sorted(set(a), key=names.__getitem__) for a in author_lists]
     codes = np.arange(n)
     return Corpus(ids=ids, pub_year=years, field_code=codes % 2, fields=["F0", "Fïeld"],
                   region_code=codes % 3, regions=["", "NA", "Ásia"], journal_code=codes % 2,
-                  journals=["", 'J "2"' if quoted_journal else "J2"],
+                  journals=["", journal],
                   author_ptr=np.cumsum([0] + [len(a) for a in lists]), author_code=[c for a in lists for c in a],
                   authors=names, citing=[a for a, _ in pairs], cited=[b for _, b in pairs],
                   self_edge=np.zeros(len(pairs), bool), span=(2000, 2000), drops={})
@@ -400,8 +401,26 @@ def writer_corpora(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1)), max_size=20)
                  if ids else st.just([]))
     years = draw(st.lists(st.integers(-20, 2100), min_size=len(ids), max_size=len(ids)))
-    return writer_corpus(ids, years, names, author_lists, pairs, draw(st.booleans())), draw(st.lists(
+    journal = draw(st.sampled_from(["J2", 'J "2"', "J\r2"]))
+    return writer_corpus(ids, years, names, author_lists, pairs, journal), draw(st.lists(
         st.booleans(), min_size=len(ids), max_size=len(ids)))
+
+
+def assert_loads_back(corpus, articles, edges):
+    """``read_tables`` of the tables written from ``corpus`` gives its articles, and its edges but
+    those that reading drops: self-loops, future-dated edges and repeats."""
+    t = read_tables(articles, edges, None)
+    assert t["ids"].tolist() == corpus.ids.tolist()
+    assert t["pub_year"].tolist() == corpus.pub_year.tolist()
+    for labels, codes in (("fields", "field_code"), ("regions", "region_code"), ("journals", "journal_code")):
+        assert [t[labels][c] for c in t[codes]] == [getattr(corpus, labels)[c] for c in getattr(corpus, codes)]
+    data, lo, hi = t["author_fields"]
+    ptr = corpus.author_ptr.tolist()
+    assert [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())] == [
+        ";".join(corpus.authors[c] for c in corpus.author_code[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+    pairs = [(s, d) for s, d in zip(corpus.citing.tolist(), corpus.cited.tolist())
+             if s != d and corpus.pub_year[s] >= corpus.pub_year[d]]
+    assert list(zip(t["citing"].tolist(), t["cited"].tolist())) == list(dict.fromkeys(pairs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -410,11 +429,14 @@ def writer_corpora(draw):
 @example((writer_corpus(["A", "", "é" * 50], [2000, 1999, 2001], ["b", "a"], [[0, 1], [], [1]],
                         [(0, 1), (2, 1), (1, 0)]), [True, True, False]), (2, 1))  # the empty id ends an edge row
 @example((writer_corpus(["x", "y"], [2000, 2000], [], [[], []], []), [False, True]), (1, 9))  # no edges, no authors
+@example((writer_corpus(['"x"', "y\tz"], [2000, 2000], ["a", "b\n", '"c'], [[0, 1, 2], [0]], [(1, 0)], 'J "2"'),
+          [True, True]), (1, 9))  # quoted ids and labels, and a list with two names that need quoting
 def test_write_tables_matches_the_csv_writer_reference(data, block):
-    """Ids of 0-100 characters, the empty id among them, non-ASCII ids and names, empty
-    region and journal labels, articles with no authors and corpora with no edges, in
-    blocks of 1 and 2 rows or 1 and 9 bytes; and a subset, whose ids are ranges of its
-    parent's buffer. A journal label with quotes sends every table to csv.writer."""
+    """Ids of 0-100 characters, the empty id among them, non-ASCII ids and names, empty region and
+    journal labels, articles with no authors and corpora with no edges, in blocks of 1 and 2 rows
+    or 1 and 9 bytes; and a subset, whose ids are ranges of its parent's buffer. Ids, names and a
+    journal label may hold a tab, a quote, an LF or a CR: every corpus loads back, and one with no
+    CR is written as csv.writer writes it, which leaves a CR unquoted."""
     corpus, keep = data
     with tempfile.TemporaryDirectory() as d, mock.patch.object(corpus_mod, "_WRITE_ROWS", block[0]), \
             mock.patch.object(corpus_mod, "_WRITE_BYTES", block[1]):
@@ -422,7 +444,26 @@ def test_write_tables_matches_the_csv_writer_reference(data, block):
         for c in (corpus, corpus.subset(np.asarray(keep, bool))):
             write_tables(c, *paths)
             with open(paths[0], "rb") as fa, open(paths[1], "rb") as fe:
-                assert (fa.read(), fe.read()) == csv_writer_tables(c)
+                written = fa.read(), fe.read()
+            assert_loads_back(c, *written)
+            if "\r" not in "".join(c.ids.tolist() + c.authors + c.fields + c.regions + c.journals):
+                assert written == csv_writer_tables(c)
+
+
+def test_a_cr_in_an_id_label_or_name_is_written_quoted_and_loads_back(tmp_path):
+    """``csv.writer`` left a CR unquoted, and the files it wrote did not load: from an author
+    ``a<CR>b``, "articles line 3: expected 6 columns, got 1"."""
+    articles = ART_HEADER + 'A\t2000\tF\tR\tJ\t"a\rb;c"\n"B\r"\t2001\t"F\r"\tR\tJ\t\n'
+    edges = EDGE_HEADER + '"B\r"\tA\n'
+    c = make_corpus(articles, edges, span=(2000, 2001))
+    assert c.ids.tolist() == ["A", "B\r"] and c.authors == ["a\rb", "c"] and c.fields == ["F", "F\r"]
+    paths = tmp_path / "a.tsv", tmp_path / "e.tsv"
+    write_tables(c, *paths)
+    assert (paths[0].read_bytes(), paths[1].read_bytes()) == (articles.encode(), edges.encode())
+    back = load_corpus_files(*paths, c.span)
+    assert (back.ids.tolist(), back.authors, back.fields) == (c.ids.tolist(), c.authors, c.fields)
+    for name in ("citing", "cited", "self_edge", "author_ptr", "author_code", "field_code"):
+        assert np.array_equal(getattr(back, name), getattr(c, name)), name
 
 
 def test_reading_decodes_labels_and_years_only_and_ids_and_names_on_demand(tmp_path):

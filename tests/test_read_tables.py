@@ -4,13 +4,14 @@ The reference reads the same text with plain ``csv`` and dicts and shares no
 helper with ``citeconc.corpus``. Both see dirty input: CRLF and LF line ends,
 quoted fields (an author list may span two lines), blank lines, empty or
 repeated author lists, rows outside the span, every edge drop reason and at
-most one malformed row. Line numbers are the physical lines rows start on.
+most one malformed row. Line numbers are the physical lines rows start on, and
+an error's message is the reference's, word for word.
 
-``read_tables`` splits a file with numpy (the byte path) unless it holds a
-``"``, CR or NUL byte, and with the ``csv`` module otherwise; one checker reads
-either form. The byte path is checked against the csv tokeniser and the same
-reference on clean tables, and against the csv tokeniser on each kind of table
-that has a fault or that numpy does not split.
+``read_tables`` splits every file with one numpy tokeniser, which reads quotes,
+CRs and NULs as ``csv.reader`` does. It is checked against the reference on
+dirty, clean and faulty tables, against the same tables with every field
+quoted and CRLF line ends, and, row by row, against ``csv.reader`` itself on
+random text of quotes, tabs, line ends, NULs and non-ASCII bytes.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -39,56 +40,75 @@ EDGE_HEADER = ["citing_id", "cited_id"]
 
 
 class Rejected(Exception):
-    """The reference found the input unreadable at (table, line); line is None for a header."""
+    """The reference found the input unreadable: the table, the line (None for the header) and the
+    message of the error that read_tables must raise."""
 
 
-def physical_lines(reader):
-    """(line on which the row starts, row) for each row after the header; a
-    quoted field may span lines."""
-    line = reader.line_num + 1
-    for row in reader:
-        yield line, row
+def rows_of(table, data, header):
+    """``(line, row)`` for each row of ``data`` (text, or UTF-8 bytes) after the header row, which
+    must be ``header``, with the physical line on which the row starts; a quoted field may span
+    lines. Raises Rejected for invalid UTF-8, a bad header or a ``csv.Error``."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode()
+        except UnicodeDecodeError as e:
+            lines = io.StringIO(data[:e.start].decode(), newline="").readlines()
+            line = 1 + sum(text.endswith(("\n", "\r")) for text in lines)
+            raise Rejected(table, line, f"{table} line {line}: {e}") from None
+    reader = csv.reader(io.StringIO(data, newline=""), delimiter="\t")
+    line = 1
+    try:
+        if [c.strip() for c in next(reader, [])] != header:
+            raise Rejected(table, None, f"{table}: bad or missing header, expected {chr(9).join(header)!r}")
         line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except csv.Error as e:
+        raise Rejected(table, line, f"{table} line {line}: {e}") from None
 
 
-def reference_read(articles_text, edges_text, span):
-    """Retained article dicts, retained (citing, cited) id pairs, drop tallies and rows read."""
-    reader = csv.reader(io.StringIO(articles_text, newline=""), delimiter="\t")
-    if [c.strip() for c in next(reader, [])] != ARTICLE_HEADER:
-        raise Rejected("articles", None)
+def reject(table, line, message):
+    return Rejected(table, line, f"{table} line {line}: {message}")
+
+
+def reference_read(articles, edges, span):
+    """Retained article dicts, retained (citing, cited) id pairs, drop tallies and rows read of the
+    tables ``articles`` and ``edges`` (text, or UTF-8 bytes)."""
     every_id = set()
     kept = {}
     drops = {"out_of_span": 0, "dangling": 0, "self_loop": 0, "future_dated": 0, "duplicate_edge": 0}
     rows_read = [0, 0]
-    for line, row in physical_lines(reader):
+    for line, row in rows_of("articles", articles, ARTICLE_HEADER):
         if not row:
             continue
         rows_read[0] += 1
         if len(row) != len(ARTICLE_HEADER):
-            raise Rejected("articles", line)
+            raise reject("articles", line, f"expected {len(ARTICLE_HEADER)} columns, got {len(row)}")
         rec = dict(zip(ARTICLE_HEADER, row))
         try:
             rec["pub_year"] = int(rec["pub_year"])
         except ValueError:
-            raise Rejected("articles", line) from None
-        if rec["field"] == "" or rec["id"] in every_id:
-            raise Rejected("articles", line)
+            raise reject("articles", line, f"unparsable year {row[1]!r}") from None
+        if not -2**31 <= rec["pub_year"] < 2**31:
+            raise reject("articles", line, f"year {row[1]!r} out of range")
+        if rec["field"] == "":
+            raise reject("articles", line, "empty field label")
+        if rec["id"] in every_id:
+            raise reject("articles", line, f"duplicate article id {rec['id']!r}")
         every_id.add(rec["id"])
         if span is not None and not span[0] <= rec["pub_year"] <= span[1]:
             drops["out_of_span"] += 1
         else:
             kept[rec["id"]] = rec
 
-    reader = csv.reader(io.StringIO(edges_text, newline=""), delimiter="\t")
-    if [c.strip() for c in next(reader, [])] != EDGE_HEADER:
-        raise Rejected("edges", None)
-    edges = []
-    for line, row in physical_lines(reader):
+    edges_kept = []
+    for line, row in rows_of("edges", edges, EDGE_HEADER):
         if not row:
             continue
         rows_read[1] += 1
         if len(row) != 2:
-            raise Rejected("edges", line)
+            raise reject("edges", line, f"expected 2 columns, got {len(row)}")
         src, dst = row
         if src == dst:
             drops["self_loop"] += 1
@@ -96,16 +116,20 @@ def reference_read(articles_text, edges_text, span):
             drops["dangling"] += 1
         elif kept[src]["pub_year"] < kept[dst]["pub_year"]:
             drops["future_dated"] += 1
-        elif (src, dst) in edges:
+        elif (src, dst) in edges_kept:
             drops["duplicate_edge"] += 1
         else:
-            edges.append((src, dst))
-    return list(kept.values()), edges, drops, tuple(rows_read)
+            edges_kept.append((src, dst))
+    return list(kept.values()), edges_kept, drops, tuple(rows_read)
 
 
-def rejected_at(err: DataError):
-    m = re.match(r"(articles|edges)(?: line (\d+))?:", str(err))
-    return m.group(1), m.group(2) and int(m.group(2))
+def quoted_crlf(text):
+    """The table ``text`` as ``csv.writer`` writes its non-blank rows with every field quoted and
+    CRLF line ends."""
+    out = io.StringIO()
+    csv.writer(out, delimiter="\t", quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(
+        row for row in csv.reader(io.StringIO(text, newline=""), delimiter="\t") if row)
+    return out.getvalue()
 
 
 EOL = st.sampled_from(["\n", "\r\n"])
@@ -160,12 +184,6 @@ def table_records(t):
              "author_ids": author_bytes[author_lo[i]:author_hi[i]].decode()} for i in range(len(ids))]
 
 
-def by_csv(read, articles, edges, span):
-    """``read`` (read_tables or load_corpus) of the tables' bytes, split by the csv module."""
-    with mock.patch.object(corpus_mod, "_split_bytes", corpus_mod._split_csv):
-        return read(articles, edges, span)
-
-
 def run_validate(articles_text, edges_text, span):
     with tempfile.TemporaryDirectory() as d:
         paths = [os.path.join(d, "articles.tsv"), os.path.join(d, "edges.tsv")]
@@ -195,9 +213,9 @@ def validate_report(text):
 
 @settings(max_examples=250, deadline=None)
 @given(dirty_tables(), st.sampled_from([None, (2000, 2002), (1999, 2003)]), st.sampled_from([1, 3, 1 << 12]))
-def test_read_tables_and_validate_match_the_reference(tables, span, csv_rows):
-    with mock.patch.object(corpus_mod, "_CSV_ROWS", csv_rows), mock.patch.object(corpus_mod, "_EDGE_PIECE", csv_rows):
-        check_against_the_reference(*tables, span)  # rows read, and edges split and looked up, a few at a time
+def test_read_tables_and_validate_match_the_reference(tables, span, edge_piece):
+    with mock.patch.object(corpus_mod, "_EDGE_PIECE", edge_piece):  # edges split and looked up a few at a time
+        check_against_the_reference(*tables, span)
 
 
 def check_against_the_reference(articles_text, edges_text, span):
@@ -206,12 +224,12 @@ def check_against_the_reference(articles_text, edges_text, span):
         kept, edges, drops, rows_read = reference_read(articles_text, edges_text, span)
     except Rejected as where:
         with pytest.raises(DataError) as exc:
-            by_csv(read_tables, articles_text.encode(), edges_text.encode(), span)
-        assert rejected_at(exc.value) == where.args
+            read_tables(articles_text.encode(), edges_text.encode(), span)
+        assert str(exc.value) == where.args[2]
         assert (rc, out, err) == (2, "", f"error: {exc.value}\n")
         return
 
-    t = by_csv(read_tables, articles_text.encode(), edges_text.encode(), span)
+    t = read_tables(articles_text.encode(), edges_text.encode(), span)
     assert table_records(t) == kept
     for labels, column in (("fields", "field"), ("regions", "region"), ("journals", "journal_id")):
         assert t[labels] == list(dict.fromkeys(rec[column] for rec in kept))  # codes in order of first use
@@ -231,7 +249,7 @@ def check_against_the_reference(articles_text, edges_text, span):
     }
     if span is None:
         return
-    c = by_csv(load_corpus, articles_text.encode(), edges_text.encode(), span)
+    c = load_corpus(articles_text.encode(), edges_text.encode(), span)
     assert (c.n_articles, c.n_edges) == (report["articles retained"], report["edges retained"])
     assert list(c.drops.items()) == report["drops"]
     assert c.rows_read == (report["articles read"], report["edges read"])
@@ -240,7 +258,7 @@ def check_against_the_reference(articles_text, edges_text, span):
         assert records[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}
 
 
-# -- the byte path against the csv tokeniser -----------------------------------
+# -- clean tables, and the same tables quoted -----------------------------------
 
 # Ids of one and two 8-byte words, exactly 8 and 9 bytes (the longest ids keyed by their bytes and the
 # shortest keyed by a hash), past 64 bytes, two that share their first 128 bytes, and the empty id.
@@ -248,7 +266,7 @@ BYTE_IDS = ["P0", "P1", "P2", "é3", "id 4", "an id of 2 words", "p0000000", "p0
             "z" * 70 + "7", "w" * 128 + "a tail", "w" * 128 + "b", ""]
 # Never articles (dangling): short, a prefix of an id, equal to an id in its first word (also an 8-byte
 # id's 8 bytes and one more), past 64 bytes, an id's first 129 bytes, and an id with a NUL after its 71
-# bytes (which the csv tokeniser reads).
+# bytes.
 NOT_IDS = ["X", "an id of", "an id of 2 wordz", "an id of 2 words!", "p0000000x", "p00000013", "z" * 69,
            "w" * 128 + "a", "z" * 70 + "7\0"]
 AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"]), max_size=5).map(";".join)
@@ -256,10 +274,9 @@ AUTHOR_LISTS = st.lists(st.sampled_from(["a1", "a2", "a10", "", "Müller", "李"
 
 @st.composite
 def clean_tables(draw):
-    """Article and edge TSV text with no quote or CR and no fault, which numpy splits
-    unless an edge holds the id that ends in NUL: empty, repeated and non-ASCII author names, empty region and
-    journal labels, blank lines, every edge drop reason and a last line with or
-    without a newline."""
+    """Article and edge TSV text with no quote or CR and no fault: empty, repeated and non-ASCII
+    author names, empty region and journal labels, blank lines, every edge drop reason and a last
+    line with or without a newline."""
     ids = draw(st.lists(st.sampled_from(BYTE_IDS), unique=True, max_size=7))
     articles = [[art_id, draw(st.sampled_from(["1998", "2000", "2001", "2002", "02003", "2004"])),
                  draw(st.sampled_from(["F0", "F1", "Field two", "Fïeld"])), draw(st.sampled_from(["NA", " EU ", "", "Ásia"])),
@@ -288,36 +305,37 @@ def assert_same_corpus(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(clean_tables(), st.sampled_from([None, (2000, 2002), (1999, 2003)]), st.sampled_from([1, 9, 1 << 24]))
-def test_byte_path_matches_the_csv_path_and_the_reference(tables, span, edge_piece):
+def test_clean_tables_match_the_reference_and_their_quoted_crlf_copy(tables, span, edge_piece):
+    """The tables as drawn, and the same rows with every field quoted and CRLF line ends, which
+    csv.reader reads as the same rows: the same tables and, with a span, the same corpus."""
     articles_text, edges_text = tables
     data = articles_text.encode(), edges_text.encode()
+    quoted = quoted_crlf(articles_text).encode(), quoted_crlf(edges_text).encode()
     with mock.patch.object(corpus_mod, "_EDGE_PIECE", edge_piece):  # edges split and looked up piece by piece
-        by_bytes = read_tables(*data, span)
+        plain, copy = read_tables(*data, span), read_tables(*quoted, span)
         if span is not None:
-            by_bytes_corpus = load_corpus(*data, span)
-    by_csv_path = by_csv(read_tables, *data, span)
+            corpora = load_corpus(*data, span), load_corpus(*quoted, span)
     kept, edges, drops, rows_read = reference_read(articles_text, edges_text, span)
-    assert table_records(by_bytes) == table_records(by_csv_path) == kept
+    assert table_records(plain) == table_records(copy) == kept
     for labels in ("fields", "regions", "journals"):
-        assert by_bytes[labels] == by_csv_path[labels]
+        assert plain[labels] == copy[labels]
     for name in ("pub_year", "field_code", "region_code", "journal_code", "citing", "cited"):
-        x, y = by_bytes[name], by_csv_path[name]
+        x, y = plain[name], copy[name]
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    ids = by_bytes["ids"].tolist()
-    assert [(ids[i], ids[j]) for i, j in zip(by_bytes["citing"].tolist(), by_bytes["cited"].tolist())] == edges
-    assert list(by_bytes["drops"].items()) == list(by_csv_path["drops"].items()) == list(drops.items())
-    assert by_bytes["rows_read"] == by_csv_path["rows_read"] == rows_read
+    ids = plain["ids"].tolist()
+    assert [(ids[i], ids[j]) for i, j in zip(plain["citing"].tolist(), plain["cited"].tolist())] == edges
+    assert list(plain["drops"].items()) == list(copy["drops"].items()) == list(drops.items())
+    assert plain["rows_read"] == copy["rows_read"] == rows_read
     if span is not None:
-        c = by_bytes_corpus
-        assert_same_corpus(c, by_csv(load_corpus, *data, span))
-        records_by_id = oracle.read(c).articles
+        assert_same_corpus(*corpora)
+        records_by_id = oracle.read(corpora[0]).articles
         for rec in kept:
             assert records_by_id[rec["id"]].author_ids == {a for a in rec["author_ids"].split(";") if a}
 
 
 BASE_ARTICLES = "\t".join(ARTICLE_HEADER) + "\nA\t2000\tF\tR\tJ\ta1;a2\nB\t2001\tF\tR\tJ\ta2\n"
 BASE_EDGES = "\t".join(EDGE_HEADER) + "\nB\tA\n"
-# Tables with a fault or a byte that only the csv module splits: the same result, or error and line, either way.
+# Tables with a fault, a quote, a CR or a NUL: read_tables gives the reference's result, or its error.
 DECLINED = {
     "quote": (BASE_ARTICLES + 'C\t2001\tF\tR\tJ\t"a2;a3"\n', BASE_EDGES),
     "cr": (BASE_ARTICLES.replace("\n", "\r\n"), BASE_EDGES),
@@ -350,24 +368,35 @@ DECLINED = {
 def outcome(read):
     try:
         t = read()
-    except Exception as e:  # the same exception type and message either way
+    except Exception as e:  # the reference's exception type and message
         return type(e).__name__, str(e)
-    return table_records(t), t["fields"], t["regions"], t["journals"], t["citing"].tolist(), t["cited"].tolist(), t["drops"]
+    ids = t["ids"].tolist()
+    return (table_records(t), t["fields"], t["regions"], t["journals"],
+            [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())], t["drops"])
+
+
+def reference_outcome(articles, edges, span):
+    try:
+        kept, edges, drops, _ = reference_read(articles, edges, span)
+    except Rejected as where:
+        return "DataError", where.args[2]
+    return (kept, *(list(dict.fromkeys(rec[c] for rec in kept)) for c in ("field", "region", "journal_id")),
+            edges, drops)
 
 
 @pytest.mark.parametrize("case", list(DECLINED))
 @pytest.mark.parametrize("span", [None, (2000, 2001)])
-def test_byte_path_declines_what_the_csv_reader_reads_otherwise(case, span):
+def test_faults_and_quoting_bytes_read_as_the_reference_reads_them(case, span):
     data = [t if isinstance(t, bytes) else t.encode() for t in DECLINED[case]]
-    assert outcome(lambda: read_tables(*data, span)) == outcome(lambda: by_csv(read_tables, *data, span))
+    assert outcome(lambda: read_tables(*data, span)) == reference_outcome(*data, span)
 
 
 @pytest.mark.parametrize("article_ids", [["A", "A\0", "B"], ["A", "B"]])
 def test_ids_that_end_in_nul_are_distinct(article_ids):
     articles = "\t".join(ARTICLE_HEADER) + "".join(f"\n{a}\t2001\tF\tR\tJ\t" for a in article_ids) + "\n"
     edges = "\t".join(EDGE_HEADER) + "\nB\tA\0\nB\tA\nB\tA\0\0\n"
-    for read in (read_tables, lambda *tables: by_csv(read_tables, *tables)):
-        t = read(articles.encode(), edges.encode(), None)
+    for tables in ((articles, edges), (quoted_crlf(articles), quoted_crlf(edges))):
+        t = read_tables(*(text.encode() for text in tables), None)
         ids = t["ids"].tolist()
         pairs = [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
         assert ids == article_ids
@@ -378,8 +407,8 @@ def test_ids_that_end_in_nul_are_distinct(article_ids):
 def test_duplicate_edges_keep_the_first_copy():
     articles = BASE_ARTICLES + "C\t2001\tF\tR\tJ\t\n"
     edges = "\t".join(EDGE_HEADER) + "\nB\tA\nC\tA\nB\tA\nC\tB\nC\tA\n"
-    for read in (read_tables, lambda *tables: by_csv(read_tables, *tables)):
-        t = read(articles.encode(), edges.encode(), None)
+    for tables in ((articles, edges), (quoted_crlf(articles), quoted_crlf(edges))):
+        t = read_tables(*(text.encode() for text in tables), None)
         ids = t["ids"].tolist()
         pairs = [(ids[i], ids[j]) for i, j in zip(t["citing"].tolist(), t["cited"].tolist())]
         assert pairs == [("B", "A"), ("C", "A"), ("C", "B")]
@@ -411,3 +440,68 @@ def test_ids_behind_a_shared_65_byte_prefix_load_to_the_same_corpus(tmp_path, ed
     assert long.drops == short.drops and long.rows_read == short.rows_read
     for name in ("citing", "cited", "self_edge", "pub_year"):  # and both as generated
         assert np.array_equal(getattr(short, name), getattr(corpus, name)), name
+
+
+# -- the tokeniser against csv.reader ------------------------------------------
+
+def csv_split(text, columns):
+    """What ``_split`` yields for ``text``: ``(line, row)`` for each non-blank row after the header,
+    up to the first of another width, and the message of the error that ends the rows, or None."""
+    rows = []
+    try:
+        for line, row in rows_of("t", text, columns):
+            if row and len(row) != len(columns):
+                return rows, f"t line {line}: expected {len(columns)} columns, got {len(row)}"
+            rows += [(line, row)] if row else []
+    except Rejected as where:
+        return rows, where.args[2]
+    return rows, None
+
+
+def split_rows(text, columns, size):
+    """``_split``'s rows of ``text`` in pieces of ``size`` bytes, as :func:`csv_split` gives them."""
+    rows = []
+    try:
+        for data, ends, line, bad in corpus_mod._split(text.encode(), columns, "t", size):
+            rows += [(first, [data[a + 1:b].decode() for a, b in zip(row[:-1], row[1:])])
+                     for first, row in zip(line.tolist(), ends.tolist())]
+            if bad is not None:
+                return rows, str(bad)
+    except DataError as e:
+        return rows, str(e)
+    return rows, None
+
+
+SPLIT_TEXT = st.lists(st.sampled_from(['"', "\t", "\n", "\r", "\r\n", "\0", " ", "a", "b", "é"]), max_size=60)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(SPLIT_TEXT.map("".join), st.sampled_from([1, 2, 7, 1 << 22]), st.sampled_from([None, 3]))
+@example('h\ti\nx"y\tz\n', 1 << 22, None)  # a quote in mid-field is content
+@example('h\ti\n"x"y"\t"z""\n', 1 << 22, None)  # text after a closing quote, quotes in it too
+@example('h\n"a\t"b"\n', 1 << 22, None)  # a tab inside quotes, then text after the closing quote
+@example('h\ti\n""\t""""\n""""""\t"""\n', 1 << 22, None)  # runs of quotes: "", """", and one left open
+@example('h\ti\nx\t"y\nz\r\n', 2, None)  # a quote still open at the end of the data
+@example('h\ti\rx\ty\r\rz\tw', 1 << 22, None)  # lone CRs end rows and lines
+@example('\nh\ti\nx\ty\n', 1 << 22, None)  # a blank line before the header
+@example('"h"\t"i\tj"" k"\r\nx\ty\r\n', 1 << 22, None)  # quoted header cells
+@example('h\ti\nx\t"1\n2\r\n3\r4"\ny\tz\n', 2, None)  # a quoted field across piece boundaries
+@example('h\ti\nx\tyyyy\n', 1 << 22, 3)  # a field over the field size limit
+@example('hhhh\ti\nx\ty\n', 1 << 22, 3)  # a header cell over the field size limit
+@example('h\ti\n"é\té"\ty\n', 1 << 22, 3)  # a field of 3 characters and 5 bytes, after unquoting
+def test_split_matches_the_csv_reader(text, size, limit):
+    """``_split``'s rows, the lines they start on and the error that ends them are ``csv.reader``'s,
+    in pieces of ``size`` bytes, at ``csv.field_size_limit(limit)`` (the limit is restored after).
+    The columns are the header's cells, as csv reads them, so that the rows after it are read."""
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        try:
+            header = next(csv.reader(io.StringIO(text, newline=""), delimiter="\t"), None)
+        except csv.Error:
+            header = None
+        columns = [c.strip() for c in header] if header else ["h"]
+        assert split_rows(text, columns, size) == csv_split(text, columns)
+    finally:
+        csv.field_size_limit(old)
