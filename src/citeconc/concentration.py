@@ -25,20 +25,22 @@ def _checked(values) -> np.ndarray:
     return x
 
 
-def gini(values) -> float:
-    """Population Gini coefficient in [0, 1), via the sorted O(n log n) formulation."""
-    x = np.sort(_checked(values))
+def gini(values, presorted: bool = False) -> float:
+    """Population Gini coefficient in [0, 1), via the sorted O(n log n) formulation.
+    ``presorted`` says that ``values`` ascend already."""
+    x = _checked(values) if presorted else np.sort(_checked(values))
     n = len(x)
     ranks = 2.0 * np.arange(1, n + 1) - n - 1
     # cancellation can leave a tiny negative value on constant inputs
     return max(0.0, float((ranks * x).sum() / (n * x.sum())))
 
 
-def top_share(values, pct: float) -> float:
-    """Share of the total held by the ceil(pct * n) largest values."""
+def top_share(values, pct: float, presorted: bool = False) -> float:
+    """Share of the total held by the ceil(pct * n) largest values. ``presorted`` says
+    that ``values`` ascend already."""
     x = _checked(values)
     if not 0 < pct <= 1:
         raise ValueError("pct must lie in (0, 1]")
-    x = np.sort(x)[::-1]
+    x = (x if presorted else np.sort(x))[::-1]
     k = int(np.ceil(pct * len(x)))
     return float(x[:k].sum() / x.sum())

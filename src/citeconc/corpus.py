@@ -238,10 +238,20 @@ def _sections(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if opens[i]:
             opens[i + 1:after[i]] = False
     first = run[cand[opens]]
+    del before, last, odd, run, cand, after  # as long as the quotes, each: freed before the next ones
     new[np.minimum(first + 1, len(q) - 1)] = True  # the opening quote is a run of its own
     bounds = np.column_stack([q[first], close[opens] + 1]).ravel()
     offset = np.arange(len(q)) - np.flatnonzero(new)[np.cumsum(new) - 1]
     return bounds, q[(np.searchsorted(bounds, q, "right") % 2 == 1) & (offset % 2 == 0)]
+
+
+def _unquoted(buf: np.ndarray, lo: int, hi: int, removed: np.ndarray) -> bytearray:
+    """The bytes ``buf[lo:hi]`` but those at the ascending positions ``removed``, compacted
+    64 KiB at a time: no mask of the whole range exists beside the copy."""
+    out = bytearray()
+    for a, b in itertools.pairwise([*range(lo, hi, 1 << 16), hi]):
+        out += np.delete(buf[a:b], removed[np.searchsorted(removed, a):np.searchsorted(removed, b)] - a).data
+    return out
 
 
 def _outside(at: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -257,7 +267,8 @@ def _split(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tu
     the next row (another width, or a field over ``csv.field_size_limit()``), or None; no piece
     follows it. Tabs, LFs and CRs outside quotes (:func:`_sections`) end fields and rows: a CR, or
     an LF after none, ends a row. A piece ends after a row and holds every section it opens; its
-    ``data`` is the file's bytes, or a copy of it without the quotes that unquoting removes."""
+    ``data`` is the file's bytes, or a copy of the piece (a ``bytearray``) without the quotes that
+    unquoting removes."""
     try:
         data.isascii() or data.decode()
     except UnicodeDecodeError as e:
@@ -282,6 +293,7 @@ def _split(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tu
         if cr:  # a line also ends at a CR before no LF
             crs = np.flatnonzero(buf == 13)
             nl = np.sort(np.append(nl, crs[buf[np.minimum(crs + 1, len(buf) - 1)] != 10]))
+            del crs
         breaks, nl = nl, _outside(nl, bounds)
         line_lo, line_hi = np.append(-1, nl), np.append(nl, len(buf))  # a row ends where its line does
         if cr:  # or at the CR of a CRLF
@@ -293,15 +305,14 @@ def _split(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tu
         header = bool(nonblank[0])
         nonblank[0] |= start == 0  # the file's first row is its header, blank or not
         tabs = _outside(np.flatnonzero(buf == 9), bounds)
-        if len(removed):
-            buf = np.delete(buf, removed)
-            tabs, line_lo, line_hi = (at - np.searchsorted(removed, at) for at in (tabs, line_lo, line_hi))
+        del bounds
         line_lo, line_hi, rows = line_lo[nonblank], line_hi[nonblank], rows[nonblank] + line
         k, message = len(line_lo), None  # the rows split, and why the next is not
 
-        def cells(r: int) -> list[str]:  # the fields of row r
+        def cells(r: int) -> list[str]:  # the fields of row r, unquoted
             cut = tabs[np.searchsorted(tabs, line_lo[r]):np.searchsorted(tabs, line_hi[r])]
-            return [buf[a + 1:b].tobytes().decode() for a, b in itertools.pairwise([line_lo[r], *cut, line_hi[r]])]
+            return [_unquoted(buf, a + 1, b, removed).decode()
+                    for a, b in itertools.pairwise([line_lo[r], *cut, line_hi[r]])]
 
         # With the right count, row r's tabs are block r of the tab list, which must lie in row r.
         if len(tabs) != (width - 1) * k or width > 1 and k and ((tabs[::width - 1] <= line_lo).any()
@@ -320,9 +331,11 @@ def _split(data: bytes, columns: list[str], name: str, size: int) -> Iterator[tu
         ends = np.column_stack([line_lo[:k], tabs[:(width - 1) * k].reshape(k, width - 1), line_hi[:k]])
         del line_lo, line_hi, tabs
         bad = None if message is None else DataError(f"{name} line {rows[k]}: {message}")
-        if not len(removed):
+        if len(removed):  # the bounds in the piece once unquoted
+            ends -= np.searchsorted(removed, ends)
+        else:
             ends += start
-        yield buf.tobytes() if len(removed) else data, ends, rows[:k], bad
+        yield _unquoted(buf, 0, len(buf), removed) if len(removed) else data, ends, rows[:k], bad
         if bad is not None or stop == len(data):
             return
         del ends, rows  # before the next piece's arrays exist
@@ -701,6 +714,11 @@ def load_corpus_files(articles_path: str, edges_path: str, span: tuple[int, int]
 def filter_core_journals(corpus: Corpus) -> Corpus:
     """Restrict to journals that publish at least one article in every year of
     the corpus span. Idempotent; the result may be empty."""
+    return corpus.subset(core_journal_mask(corpus))
+
+
+def core_journal_mask(corpus: Corpus) -> np.ndarray:
+    """The articles of :func:`filter_core_journals`, as a mask over the corpus's articles."""
     start, end = corpus.span
     n_years = end - start + 1
     key = corpus.journal_code.astype(np.int64) * n_years + (corpus.pub_year - start)
@@ -708,7 +726,7 @@ def filter_core_journals(corpus: Corpus) -> Corpus:
     journal_of_pair = pairs // n_years
     per_journal = np.bincount(journal_of_pair, minlength=len(corpus.journals))
     core = per_journal >= n_years
-    return corpus.subset(core[corpus.journal_code])
+    return core[corpus.journal_code]
 
 
 # Rows and bytes write_tables forms at a time: the bytes bound its gather's index, 8 bytes per byte written.

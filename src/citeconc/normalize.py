@@ -19,37 +19,39 @@ from __future__ import annotations
 import numpy as np
 
 from citeconc.corpus import Corpus
-# in_window_edge_mask builds the ``mask`` each function takes; perfbench/test_smoke.py reads it here.
+# in_window_edge_mask builds the edge mask each function takes; perfbench/test_smoke.py reads it here.
 from citeconc.windows import in_window_edge_mask  # noqa: F401
 
 RHO_SCOPE_STUDY = "study"
 RHO_SCOPE_ALL_EDGES = "all_edges"
 
 
-def year_weights(corpus: Corpus, exclude_self: bool = False) -> np.ndarray:
+def year_weights(corpus: Corpus, exclude_self: bool = False, kept: np.ndarray | None = None) -> np.ndarray:
     """Inverse total-citation weight of each year ``y`` of the span, at ``y - span[0]``:
     1 / (citations made in ``y``, without self-citations if ``exclude_self``), or 0
-    in a year with none."""
-    citing_year = corpus.citing_year[~corpus.self_edge] if exclude_self else corpus.citing_year
+    in a year with none. Only the edges in the mask ``kept`` count, or all if it is None."""
+    counted = np.ones(corpus.n_edges, bool) if kept is None else kept
+    citing_year = corpus.citing_year[counted & ~corpus.self_edge if exclude_self else counted]
     counts = np.bincount(citing_year - corpus.span[0], minlength=corpus.span[1] - corpus.span[0] + 1)
     return np.divide(1.0, counts, out=np.zeros(len(counts)), where=counts > 0)
 
 
-def ics_array(corpus: Corpus, mask: np.ndarray, *, exclude_self: bool, rho_scope: str) -> np.ndarray:
-    """Year-weighted citation score of every article in the corpus over the edges
-    in ``mask``, an ``in_window_edge_mask``.
+def ics_array(corpus: Corpus, edges: np.ndarray, *, exclude_self: bool, rho_scope: str,
+              kept: np.ndarray | None = None) -> np.ndarray:
+    """Year-weighted citation score of every article in the corpus over ``edges``, an
+    ``in_window_edge_mask`` or its ``flatnonzero`` indices (the same edges in the same order).
 
-    Self-citations are left out of the year weights when ``exclude_self`` is set,
-    unless ``rho_scope`` is ``all_edges``.
+    The year weights count the edges in ``kept`` (see :func:`year_weights`). Self-citations
+    are left out of them when ``exclude_self`` is set, unless ``rho_scope`` is ``all_edges``.
     """
-    rho = year_weights(corpus, exclude_self=exclude_self and rho_scope == RHO_SCOPE_STUDY)
-    wts = rho[corpus.citing_year[mask] - corpus.span[0]]
-    counts = np.bincount(corpus.cited[mask], weights=wts, minlength=corpus.n_articles)
+    rho = year_weights(corpus, exclude_self=exclude_self and rho_scope == RHO_SCOPE_STUDY, kept=kept)
+    wts = rho[corpus.citing_year[edges] - corpus.span[0]]
+    counts = np.bincount(corpus.cited[edges], weights=wts, minlength=corpus.n_articles)
     return counts.astype(np.float64, copy=False)
 
 
-def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, exclude_self: bool,
-               mics_per_year: bool, rho_scope: str) -> np.ndarray:
+def nics_array(corpus: Corpus, cohort_idx: np.ndarray, edges: np.ndarray, *, exclude_self: bool,
+               mics_per_year: bool, rho_scope: str, kept: np.ndarray | None = None) -> np.ndarray:
     """Field-normalized scores for the given cohort indices: each ics (see
     :func:`ics_array`) divided by the mean ics of its field in the cohort, or of
     its field and publication year when ``mics_per_year`` is set.
@@ -58,7 +60,7 @@ def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, excl
     """
     if len(cohort_idx) == 0:
         raise ValueError("empty cohort")
-    scores = ics_array(corpus, mask, exclude_self=exclude_self, rho_scope=rho_scope)[cohort_idx]
+    scores = ics_array(corpus, edges, exclude_self=exclude_self, rho_scope=rho_scope, kept=kept)[cohort_idx]
     if mics_per_year:
         n_years = corpus.span[1] - corpus.span[0] + 1
         group = corpus.field_code[cohort_idx].astype(np.int64) * n_years + (corpus.pub_year[cohort_idx] - corpus.span[0])
@@ -71,9 +73,10 @@ def nics_array(corpus: Corpus, cohort_idx: np.ndarray, mask: np.ndarray, *, excl
     return np.divide(scores, denom, out=np.zeros_like(scores), where=denom > 0)
 
 
-def field_mean_reference_table(corpus: Corpus, mask: np.ndarray) -> np.ndarray:
-    """Mean outgoing reference count over the edges in ``mask``, an
-    ``in_window_edge_mask``, per (field, publication year) cell.
+def field_mean_reference_table(corpus: Corpus, edges: np.ndarray, articles: np.ndarray | None = None) -> np.ndarray:
+    """Mean outgoing reference count over ``edges``, an ``in_window_edge_mask`` or its
+    indices, per (field, publication year) cell of the articles in the mask ``articles``
+    (all if None).
 
     Shape (n_fields, span length); cells with no articles are 0.
     """
@@ -81,7 +84,7 @@ def field_mean_reference_table(corpus: Corpus, mask: np.ndarray) -> np.ndarray:
     n_years = end - start + 1
     n_fields = len(corpus.fields)
     art_group = corpus.field_code.astype(np.int64) * n_years + (corpus.pub_year - start)
-    counts = np.bincount(art_group, minlength=n_fields * n_years)
-    refs = np.bincount(art_group[corpus.citing[mask]], minlength=n_fields * n_years)
+    counts = np.bincount(art_group if articles is None else art_group[articles], minlength=n_fields * n_years)
+    refs = np.bincount(art_group[corpus.citing[edges]], minlength=n_fields * n_years)
     means = np.divide(refs, counts, out=np.zeros(n_fields * n_years), where=counts > 0)
     return means.reshape(n_fields, n_years)

@@ -12,10 +12,11 @@ prepared corpus, window, self-citation rule, approach and normalisation
 parameters. Uncited articles, normalised or raw scores, a field and the earliest
 population are each study's reading of the rows; a table is normalised only if a
 reader reads normalised scores. `run_studies` runs a battery: it plans each
-study once, builds each prepared corpus (core journals, a region removed), mask
-and table once, and streams a table's rows to every reducer that reads it before
-the next table is built. Each series function (`gini_series` etc.) runs a
-battery of one.
+study once, builds each prepared corpus (core journals, a region removed) as an
+article mask over the one corpus, never a copy, builds each in-window mask and
+table once, and streams a table's rows to every reducer that reads it before the
+next table is built; each row is sorted once for all its readers. Each series
+function (`gini_series` etc.) runs a battery of one.
 
 Every series emits one row per candidate year; years that cannot be scored get
 a null metric and a reason code instead of being dropped, so emitted series
@@ -24,6 +25,7 @@ stay aligned for plotting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence
@@ -31,7 +33,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from citeconc import concentration
-from citeconc.corpus import Corpus, filter_core_journals
+from citeconc.corpus import Corpus, core_journal_mask
 from citeconc.normalize import (
     RHO_SCOPE_ALL_EDGES,
     RHO_SCOPE_STUDY,
@@ -148,53 +150,63 @@ def _table_key(cfg: StudyConfig) -> StudyConfig:
     return replace(cfg, include_uncited=True, normalized=False, field_filter=None, drop_earliest_population=False)
 
 
-def _remove_region(work: Corpus, region: str) -> Corpus:
-    if region not in work.regions:
-        raise ValueError(f"unknown region {region!r}")
-    work = work.subset(work.region_code != work.regions.index(region))
-    if work.n_articles == 0:
-        raise ValueError("empty residual corpus")
-    return work
+def _prepare(corpus: Corpus, keep: np.ndarray | None, region: str | None) -> tuple[np.ndarray, ...]:
+    """A prepared corpus as masks over the one corpus, the articles in ``keep`` (all if None) less ``region``'s
+    if set: the article mask, the mask of the edges between its articles, its articles in stable publication-year
+    order and ``at``, those published in [a, b) being ``order[at[a - start]:at[b - start]]``."""
+    keep = np.ones(corpus.n_articles, bool) if keep is None else keep
+    if region is not None:
+        if region not in corpus.regions:
+            raise ValueError(f"unknown region {region!r}")
+        keep = keep & (corpus.region_code != corpus.regions.index(region))
+        if not keep.any():
+            raise ValueError("empty residual corpus")
+    order = np.flatnonzero(keep)
+    order = order[np.argsort(corpus.pub_year[order], kind="stable")]
+    start, end = corpus.span
+    at = np.searchsorted(corpus.pub_year[order], np.arange(start, end + 2, dtype=corpus.pub_year.dtype))
+    return keep, keep[corpus.citing] & keep[corpus.cited], order, at
 
 
-def _rows(work: Corpus, mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
-    """The rows of the score table ``cfg`` over the prepared corpus ``work`` whose
-    in-window edges are ``mask``. Each population is the articles of its years,
-    in ascending index order within a year."""
-    order = np.argsort(work.pub_year, kind="stable")
+def _rows(corpus: Corpus, prep: tuple[np.ndarray, ...], mask: np.ndarray, cfg: StudyConfig) -> Iterator[Row]:
+    """The rows of the score table ``cfg`` over the prepared corpus ``prep`` (see :func:`_prepare`)
+    whose in-window edges are ``mask``. Each population is the kept articles of its years, in
+    ascending index order within a year."""
+    keep, kept, order, at = prep
     edges = np.flatnonzero(mask)
-    start, end = work.span
-    # Articles published in [a, b) are order[at[a - start]:at[b - start]].
-    at = np.searchsorted(work.pub_year[order], np.arange(start, end + 2, dtype=work.pub_year.dtype))
+    start, end = corpus.span
     if cfg.approach == CITATION_BASED:
-        years = eligible_pub_years_forward(work.span, cfg.window)
-        raw = np.bincount(work.cited[edges], minlength=work.n_articles)
+        years = eligible_pub_years_forward(corpus.span, cfg.window)
+        raw = np.bincount(corpus.cited[edges], minlength=corpus.n_articles)
         scores = raw.astype(np.float64)
         # Field means are summed over the pooled cohorts in ascending article order.
         pooled = np.sort(order[:at[len(years)]])
         if cfg.normalized and len(pooled):
-            scores[pooled] = nics_array(work, pooled, mask, exclude_self=cfg.exclude_self_citations,
-                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope)
+            scores[pooled] = nics_array(corpus, pooled, edges, exclude_self=cfg.exclude_self_citations,
+                                        mics_per_year=cfg.mics_per_year, rho_scope=cfg.rho_scope, kept=kept)
         for y in years:
             pop = order[at[y - start]:at[y - start + 1]]
             yield y, pop, raw[pop], scores[pop]
         return
-    edges = edges[np.argsort(work.citing_year[edges], kind="stable")]
-    citing_year = work.citing_year[edges]
+    edges = edges[np.argsort(corpus.citing_year[edges], kind="stable")]
+    citing_year = corpus.citing_year[edges]
     edge_at = np.searchsorted(citing_year, np.arange(start, end + 2, dtype=citing_year.dtype))
+    # Cited articles by their place in order: a year's references go to its population, one run of order.
+    place = np.empty(corpus.n_articles, np.int64)
+    place[order] = np.arange(len(order))
+    cited = place[corpus.cited[edges]]
     if cfg.normalized:
-        mref = field_mean_reference_table(work, mask)
-        weights = 1.0 / mref[work.field_code[work.citing[edges]], citing_year - start]
+        mref = field_mean_reference_table(corpus, edges, keep)
+        weights = 1.0 / mref[corpus.field_code[corpus.citing[edges]], citing_year - start]
     for y in range(start, end + 1):
-        pub = cited_population_backward(y, work.span, cfg.window)
+        pub = cited_population_backward(y, corpus.span, cfg.window)
         if pub is None:  # the cited population leaves the span
             continue
-        pop = order[at[pub.start - start]:at[pub.stop - start]]
-        lo, hi = edge_at[y - start], edge_at[y - start + 1]
-        cited = work.cited[edges[lo:hi]]
-        raw = np.bincount(cited, minlength=work.n_articles)[pop]
-        scores = np.bincount(cited, weights=weights[lo:hi], minlength=work.n_articles)[pop] if cfg.normalized else raw
-        yield y, pop, raw, scores
+        lo, hi = at[pub.start - start], at[pub.stop - start]
+        e0, e1 = edge_at[y - start], edge_at[y - start + 1]
+        raw = np.bincount(cited[e0:e1] - lo, minlength=hi - lo)
+        scores = np.bincount(cited[e0:e1] - lo, weights=weights[e0:e1], minlength=hi - lo) if cfg.normalized else raw
+        yield y, order[lo:hi], raw, scores
 
 
 def _row(year: int, raw: np.ndarray, scores: np.ndarray, **metrics) -> dict[str, Any]:
@@ -209,67 +221,74 @@ def _row(year: int, raw: np.ndarray, scores: np.ndarray, **metrics) -> dict[str,
     }
 
 
-def _gini_row(year: int, raw: np.ndarray, scores: np.ndarray, include_uncited: bool) -> dict[str, Any]:
+def _gini_row(year: int, raw: np.ndarray, scores: np.ndarray, ascending: np.ndarray,
+              include_uncited: bool) -> dict[str, Any]:
+    """The Gini row of ``scores``, which ``ascending`` holds sorted; its uncited articles lead it."""
     row = _row(year, raw, scores, gini=None)
-    included = scores if include_uncited else scores[scores > 0]
-    if row["reason"] is None and included.sum() <= 0:
+    if row["reason"] is None and row["zero_count"] == row["n"]:
         row["reason"] = REASON_ZERO_TOTAL
     elif row["reason"] is None:
-        row["gini"] = concentration.gini(included)
+        row["gini"] = concentration.gini(ascending if include_uncited else ascending[row["zero_count"]:],
+                                         presorted=True)
     return row
 
 
-# Reducers: a read's reducer is (factory, normalized, *params). The factory is called with the
-# prepared corpus, its in-window edge mask and params, and returns the function from a table row
-# to output rows; the row's last column is the scores if ``normalized`` is set, else the raw counts.
+# Reducers: a read's reducer is (factory, normalized, *params). The factory is called with the corpus,
+# the table's in-window edge mask and params, and returns the function from a table row to output rows.
+# A row ends with the scores if ``normalized`` is set, else the raw counts, then the function that sorts
+# them once for every reducer of the row.
 
-def _gini_reducer(work: Corpus, mask: np.ndarray, include_uncited: bool,
+def _gini_reducer(corpus: Corpus, mask: np.ndarray, include_uncited: bool,
                   codes: tuple[int, ...] | None) -> Callable[..., list[dict]]:
     """A Gini row per field code in ``codes`` (the year's population split by field), or one if None."""
-    return lambda y, pop, raw, vals: [_gini_row(y, raw[m], vals[m], include_uncited) for m in (
-        [slice(None)] if codes is None else work.field_code[pop] == np.asarray(codes)[:, None])]
+    def reduce(y, pop, raw, vals, ascending):
+        if codes is None:
+            return [_gini_row(y, raw, vals, ascending(), include_uncited)]
+        return [_gini_row(y, raw[m], vals[m], np.sort(vals[m]), include_uncited)
+                for m in corpus.field_code[pop] == np.asarray(codes)[:, None]]
+    return reduce
 
 
-def _uncited_reducer(work: Corpus, mask: np.ndarray) -> Callable[..., list[dict]]:
-    return lambda y, pop, raw, scores: [
+def _uncited_reducer(corpus: Corpus, mask: np.ndarray) -> Callable[..., list[dict]]:
+    return lambda y, pop, raw, scores, ascending: [
         _row(y, raw, raw, uncited_share=int(np.count_nonzero(raw == 0)) / len(raw) if len(raw) else None)]
 
 
-def _top_reducer(work: Corpus, mask: np.ndarray, pcts: tuple[float, ...]) -> Callable[..., list[dict]]:
-    def reduce(y, pop, raw, vals):
+def _top_reducer(corpus: Corpus, mask: np.ndarray, pcts: tuple[float, ...]) -> Callable[..., list[dict]]:
+    def reduce(y, pop, raw, vals, ascending):
         row = _row(y, raw, raw, **{f"top_{p:g}": None for p in pcts})
-        if row["reason"] is None and raw.sum() == 0:
+        if row["reason"] is None and row["zero_count"] == row["n"]:
             row["reason"] = REASON_ZERO_TOTAL
         elif row["reason"] is None:
-            row.update((f"top_{p:g}", concentration.top_share(raw, p)) for p in pcts)
+            row.update((f"top_{p:g}", concentration.top_share(ascending(), p, presorted=True)) for p in pcts)
         return [row]
     return reduce
 
 
-def _tails_reducer(work: Corpus, mask: np.ndarray, top_pct: float, citing_level: str) -> Callable[..., list[dict]]:
+def _tails_reducer(corpus: Corpus, mask: np.ndarray, top_pct: float, citing_level: str) -> Callable[..., list[dict]]:
     """One row per region and cohort year; see :func:`region_tail_shares`."""
-    start = work.span[0]
+    start = corpus.span[0]
     edges = np.flatnonzero(mask)
-    edges = edges[np.argsort(work.cited_year[edges], kind="stable")]
-    cited_year = work.cited_year[edges]
-    edge_at = np.searchsorted(cited_year, np.arange(start, work.span[1] + 2, dtype=cited_year.dtype))
-    nreg = len(work.regions)
+    edges = edges[np.argsort(corpus.cited_year[edges], kind="stable")]
+    cited_year = corpus.cited_year[edges]
+    edge_at = np.searchsorted(cited_year, np.arange(start, corpus.span[1] + 2, dtype=cited_year.dtype))
+    nreg = len(corpus.regions)
 
     def shares(article_idx: np.ndarray) -> list[float | None]:
-        counts = np.bincount(work.region_code[article_idx], minlength=nreg)
+        counts = np.bincount(corpus.region_code[article_idx], minlength=nreg)
         return (counts / counts.sum()).tolist() if len(article_idx) else [None] * nreg
 
-    def reduce(y, cohort, raw, vals):
+    def reduce(y, cohort, raw, vals, ascending):
         year_edges = edges[edge_at[y - start]:edge_at[y - start + 1]]
         single = cohort[raw == 1]
-        top = cohort[np.lexsort((work.id_rank[cohort], -vals))[:math.ceil(top_pct * len(cohort))]]
+        top = cohort[np.lexsort((corpus.id_rank[cohort], -vals))[:math.ceil(top_pct * len(cohort))]]
         cols = [shares(single), shares(top)]
         for group in (single, top):
-            citing = work.citing[year_edges[np.isin(work.cited[year_edges], group)]]
+            citing = corpus.citing[year_edges[np.isin(corpus.cited[year_edges], group)]]
             cols.append(shares(np.unique(citing) if citing_level == "article" else citing))
         reason = REASON_EMPTY if len(cohort) == 0 else "no_single_cited" if len(single) == 0 else None
         return [{"year": y, "region": region, "reason": reason, **{n: col[r] for n, col in zip(TAIL_COLUMNS, cols)}}
-                for r, region in enumerate(work.regions)]
+                for r, region in enumerate(corpus.regions)]
     return reduce
 
 
@@ -336,26 +355,29 @@ def _reduce_tables(corpus: Corpus, reads: Sequence[tuple[StudyConfig, tuple]]) -
         by_mask = tree.setdefault(key.core_only, {}).setdefault(key.region_removed, {})
         by_mask.setdefault((key.window.length, key.exclude_self_citations), {}).setdefault(key, {})[reducer] = None
     for core_only, by_region in tree.items():
-        base = filter_core_journals(corpus) if core_only else corpus
+        core = core_journal_mask(corpus) if core_only else None
         for region, by_mask in by_region.items():
             try:
-                work = base if region is None else _remove_region(base, region)
+                prep = _prepare(corpus, core, region)
             except ValueError as e:
                 yield {(key, r): e for tables in by_mask.values() for key, rs in tables.items() for r in rs}
                 continue
             for (length, excl), tables in by_mask.items():
-                mask = in_window_edge_mask(work, length, excl)
+                mask = in_window_edge_mask(corpus, length, excl) & prep[1]  # and between kept articles
                 for key, reducers in tables.items():
                     try:
-                        fns = [(normalized, fn(work, mask, *params)) for fn, normalized, *params in reducers]
+                        fns = [(normalized, fn(corpus, mask, *params)) for fn, normalized, *params in reducers]
                         results: list = [[] for _ in fns]
-                        for y, pop, raw, scores in _rows(work, mask, replace(key, normalized=any(n for n, _ in fns))):
+                        for y, pop, raw, scores in _rows(corpus, prep, mask,
+                                                         replace(key, normalized=any(n for n, _ in fns))):
+                            ascending = functools.cache(lambda normalized: np.sort(scores if normalized else raw))
                             for (normalized, fn), rows in zip(fns, results):
-                                rows.extend(fn(y, pop, raw, scores if normalized else raw))
+                                rows.extend(fn(y, pop, raw, scores if normalized else raw,
+                                               functools.partial(ascending, normalized)))
                     except ValueError as e:
                         results = [e] * len(reducers)
                     yield dict(zip([(key, r) for r in reducers], results))
-            del work, mask  # before the next prepared corpus is built
+            del prep, mask  # before the next prepared corpus is built
 
 
 def run_studies(corpus: Corpus, specs: Sequence[StudySpec]) -> Iterator[list[SeriesReport]]:

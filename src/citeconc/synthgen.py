@@ -172,10 +172,11 @@ def generate(params: GenParams) -> Corpus:
         clamped += int((requested - quota).sum())
         if quota.max() == 0:
             continue
-        weights = (indeg[:n_prior] + params.attachment_constant) ** params.attachment_exponent
-        if params.recency_halflife is not None:
-            age = (start + t) - pub_year[:n_prior]
-            weights = weights * np.power(0.5, age / params.recency_halflife)
+        weights = indeg[:n_prior] + float(params.attachment_constant)
+        if params.attachment_exponent != 1:
+            weights **= params.attachment_exponent
+        if params.recency_halflife is not None:  # the decay at the ages t - s of the years s < t, once a year
+            weights *= np.repeat(np.power(0.5, np.arange(t, 0, -1) / params.recency_halflife), counts[:t])
         if weights.sum() <= 0:
             weights = np.ones(n_prior)
         cdf = np.cumsum(weights)

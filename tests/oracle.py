@@ -291,10 +291,14 @@ def region_removal_rows(t: Tables, *, region: str, length: int, exclude_self: bo
     return rows
 
 
-def top_share_rows(t: Tables, *, length: int, pcts: list[float], exclude_self: bool = False) -> list[dict]:
+def top_share_rows(t: Tables, *, length: int, pcts: list[float], exclude_self: bool = False,
+                   core_only: bool = False) -> list[dict]:
     """One row per eligible publication year: year, n, zero_count, top_<pct>
     (the share of the year's in-window citations held by its ceil(pct * n) most
-    cited articles), mean_raw_citations, reason."""
+    cited articles), mean_raw_citations, reason. With `core_only` the corpus
+    keeps only core journals."""
+    if core_only:
+        t = core_journals(t)
     raw = {a: 0 for a in t.articles}
     for _, dst in counted_edges(t, length, exclude_self):
         raw[dst] += 1
@@ -312,19 +316,22 @@ def top_share_rows(t: Tables, *, length: int, pcts: list[float], exclude_self: b
 
 
 def region_tail_rows(t: Tables, *, length: int, top_pct: float, citing_level: str,
-                     exclude_self: bool = False) -> dict[tuple[int, str], dict]:
+                     exclude_self: bool = False, core_only: bool = False) -> dict[tuple[int, str], dict]:
     """Regional tail shares of each eligible publication year, by (year, region)
     over the regions of the articles, with articles ranked by their raw
     in-window citation counts. cited_low and cited_top are a region's shares of
     the year's single-cited articles and of its ceil(top_pct * n) most cited
     (ties to the smaller id); citing_low and citing_top its shares of the
     in-window citations those groups receive, counted per citation ("edge") or
-    per distinct citing article ("article")."""
+    per distinct citing article ("article"). With `core_only` the corpus keeps
+    only core journals, and every region of the whole corpus has its rows."""
+    regions = sorted({rec.region for rec in t.articles.values()})
+    if core_only:
+        t = core_journals(t)
     edges = counted_edges(t, length, exclude_self)
     raw = {a: 0 for a in t.articles}
     for _, dst in edges:
         raw[dst] += 1
-    regions = sorted({rec.region for rec in t.articles.values()})
 
     def shares(members: list[str]) -> dict[str, float | None]:
         return {r: sum(1 for a in members if t.articles[a].region == r) / len(members) if members else None

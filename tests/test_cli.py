@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from dataclasses import replace
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from citeconc import corpus as corpus_mod
 from citeconc import studies, synthgen
 from citeconc.cli import main
 from citeconc.corpus import Corpus
@@ -464,17 +466,27 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 1
 
 
-def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, monkeypatch):
-    # The benchmark's battery (every study type and flag) at a small scale.
+def battery_config(tmp_path, monkeypatch) -> tuple[Path, list[str]]:
+    """The benchmark's battery (every study type and flag) at a small scale: its config file and study names."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     text, names = importlib.import_module("workloads").analyze_config(20240603, str(tmp_path / "out"), 0.05)
     cfg = tmp_path / "battery.conf"
     cfg.write_text(text)
-    masks, cores, subsets, tables = [], [], [], []
-    mask, core, subset, rows = studies.in_window_edge_mask, studies.filter_core_journals, Corpus.subset, studies._rows
+    return cfg, names
+
+
+def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, monkeypatch):
+    cfg, names = battery_config(tmp_path, monkeypatch)
+    preps, masks, cores, subsets, tables = [], [], [], [], []
+    prepare, mask, rows = studies._prepare, studies.in_window_edge_mask, studies._rows
+    core, subset = corpus_mod.filter_core_journals, Corpus.subset
+
+    def counted_prepare(corpus, keep, region):
+        preps.append(region)
+        return prepare(corpus, keep, region)
 
     def counted_mask(corpus, length, exclude_self=False):
-        masks.append((corpus, length, exclude_self))
+        masks.append((length, exclude_self))
         return mask(corpus, length, exclude_self)
 
     def counted_core(corpus):
@@ -482,31 +494,46 @@ def test_analyze_battery_builds_each_prepared_corpus_and_mask_once(tmp_path, mon
         return core(corpus)
 
     def counted_subset(corpus, keep):
-        subsets.append((corpus, keep.tobytes()))
+        subsets.append(keep)
         return subset(corpus, keep)
 
-    def counted_rows(work, mask, key):
-        tables.append(key)
-        return rows(work, mask, key)
+    def counted_rows(corpus, prep, in_window, key):
+        tables.append((key, len(preps), in_window.tobytes()))
+        return rows(corpus, prep, in_window, key)
 
+    monkeypatch.setattr(studies, "_prepare", counted_prepare)
     monkeypatch.setattr(studies, "in_window_edge_mask", counted_mask)
     monkeypatch.setattr(studies, "_rows", counted_rows)
-    monkeypatch.setattr(studies, "filter_core_journals", counted_core)
+    monkeypatch.setattr(corpus_mod, "filter_core_journals", counted_core)
     monkeypatch.setattr(Corpus, "subset", counted_subset)
     assert main(["analyze", str(cfg)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
     assert list(dict.fromkeys(e["study"] for e in manifest)) == names
+    # Prepared corpora (core journals, a region removed) are masks over the one corpus.
+    assert len(cores) == len(subsets) == 0
+    # The corpus, its core journals and the five residuals of region removal.
+    assert len(preps) == len({prep for _, prep, _ in tables}) == 7
     # W in {2, 5, 10} with and without self-citations on the corpus, W = 5 on the
-    # core-journal corpus and on each of the five residuals of region removal.
-    assert len(masks) == len(set(masks)) == 12
-    assert len(cores) == 1
-    assert len(subsets) == len(set(subsets)) == 6  # the core-journal corpus and five residuals
+    # core-journal corpus and on each residual.
+    assert len(masks) == len({(prep, in_window) for _, prep, in_window in tables}) == 12
     # One table per population (prepared corpus, window, approach and normalisation
     # parameters), normalised only when one of its studies reads normalised scores.
-    assert len(tables) == len(set(tables)) == 21
-    assert sum(key.normalized for key in tables) == 16
+    assert len(tables) == len({key for key, _, _ in tables}) == 21
+    assert sum(key.normalized for key, _, _ in tables) == 16
     # CSV cells are written with repr(): a numpy scalar would show as np.float64(...).
     assert not any("np." in p.read_text() for p in (tmp_path / "out").glob("*.csv"))
+
+
+def test_analyze_battery_outputs_match_pinned_bytes(tmp_path, monkeypatch):
+    # Every series, CSV and JSON, and the manifest of the battery: a change in any float's bits shows here.
+    cfg, _ = battery_config(tmp_path, monkeypatch)
+    assert main(["analyze", str(cfg)]) == 0
+    digest = hashlib.sha256()
+    files = sorted((tmp_path / "out").iterdir())
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert len(files) == 101
+    assert digest.hexdigest() == "5ce12f8060855d42f369ca751db39b2e54e7b8a00b673e2e89c5ffa69e11bb78"
 
 
 def test_analyze_data_error_in_a_study_stops_in_its_turn(tmp_path, capsys):

@@ -29,7 +29,8 @@ def field_mean_references(corpus, field, ref_year, w, exclude_self=False):
 def backward_scores(corpus, ref_year, w, exclude_self=False):
     """The library's normalized reference counts of ref_year's cited population, by id."""
     cfg = studies.StudyConfig(window=w, approach="reference_based", exclude_self_citations=exclude_self)
-    for year, pop, _, scores in studies._rows(corpus, in_window_edge_mask(corpus, w.length, exclude_self), cfg):
+    prep, mask = studies._prepare(corpus, None, None), in_window_edge_mask(corpus, w.length, exclude_self)
+    for year, pop, _, scores in studies._rows(corpus, prep, mask, cfg):
         if year == ref_year:
             return {corpus.ids[i]: s for i, s in zip(pop.tolist(), scores.tolist())}
     raise KeyError(ref_year)

@@ -137,8 +137,9 @@ def test_series_match_oracle_on_the_fixture_for_every_flag(fixture_corpus):
 @st.composite
 def regional_corpora(draw):
     """Up to 24 articles over a 2-6 year span in three regions, with ids that
-    are a shuffled numbering (id order is not row order), 0-2 authors each from
-    a pool of 3 and up to 4 references each."""
+    are a shuffled numbering (id order is not row order), two journals (so the
+    core journals may be some, all or none of them), 0-2 authors each from a
+    pool of 3 and up to 4 references each."""
     span = (2000, 2000 + draw(st.integers(1, 5)))
     n = draw(st.integers(0, 24))
     names = draw(st.permutations([f"A{k:02d}" for k in range(n)]))
@@ -146,27 +147,30 @@ def regional_corpora(draw):
     rows, edges = [], []
     for i, year in enumerate(years):
         authors = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=2))
-        rows.append(f"{names[i]}\t{year}\tF\t{draw(st.sampled_from(['North', 'South', 'East']))}\tJ"
-                    f"\t{';'.join(authors)}\n")
+        rows.append(f"{names[i]}\t{year}\tF\t{draw(st.sampled_from(['North', 'South', 'East']))}"
+                    f"\t{draw(st.sampled_from(['J', 'K']))}\t{';'.join(authors)}\n")
         edges += [(i, j) if year >= years[j] else (j, i) for j in draw(st.lists(st.integers(0, n - 1), max_size=4))]
     return make_corpus(ART_HEADER + "".join(rows),
                        EDGE_HEADER + "".join(f"{names[a]}\t{names[b]}\n" for a, b in edges), span)
 
 
 def check_tails_and_top_shares(corpus):
-    """region_tails at both citing levels and top_shares against the oracle.
-    Articles are ranked by raw counts (``normalized=False``), whose ties are
-    exact, so the top-k tie-break by id is what decides them."""
+    """region_tails at both citing levels and top_shares against the oracle, on the
+    whole corpus and on its core journals. Articles are ranked by raw counts
+    (``normalized=False``), whose ties are exact, so the top-k tie-break by id is
+    what decides them."""
     t = oracle.read(corpus)
     pcts = [0.01, 0.25, 0.5, 1.0]
-    for length, excl in itertools.product([1, 2, 3], [False, True]):
-        cfg = StudyConfig(window=WindowSpec("forward", length), exclude_self_citations=excl, normalized=False)
-        context = {"length": length, "exclude_self": excl}
+    for length, excl, core_only in itertools.product([1, 2, 3], [False, True], [False, True]):
+        cfg = StudyConfig(window=WindowSpec("forward", length), exclude_self_citations=excl, core_only=core_only,
+                          normalized=False)
+        context = {"length": length, "exclude_self": excl, "core_only": core_only}
         for level, top_pct in itertools.product(["edge", "article"], [0.01, 0.3]):
             got = region_tail_shares(corpus, cfg, top_pct=top_pct, citing_level=level).rows
-            want = oracle.region_tail_rows(t, length=length, top_pct=top_pct, citing_level=level, exclude_self=excl)
+            want = oracle.region_tail_rows(t, length=length, top_pct=top_pct, citing_level=level, exclude_self=excl,
+                                           core_only=core_only)
             assert {(r["year"], r["region"]): r for r in got} == want, (context, level, top_pct)
-        want = oracle.top_share_rows(t, length=length, pcts=pcts, exclude_self=excl)
+        want = oracle.top_share_rows(t, length=length, pcts=pcts, exclude_self=excl, core_only=core_only)
         assert_rows_match(top_share_series(corpus, cfg, pcts).rows, want, context)
 
 

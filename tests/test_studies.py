@@ -215,6 +215,13 @@ def test_region_removal_errors():
         ART_HEADER + "A\t2000\tF\tOnly\tJ\t\n", EDGE_HEADER, span=(2000, 2001))
     with pytest.raises(ValueError, match="empty residual"):
         region_removal_uncitedness(single, StudyConfig(window=WindowSpec("forward", 1), region_removed="Only"))
+    # Journal J publishes in both years, K in one: the core journals hold only Only's articles.
+    mixed = make_corpus(ART_HEADER + "A\t2000\tF\tOnly\tJ\t\nB\t2001\tF\tOnly\tJ\t\nC\t2001\tF\tOther\tK\t\n",
+                        EDGE_HEADER + "C\tA\n", span=(2000, 2001))
+    cfg = StudyConfig(window=WindowSpec("forward", 1), region_removed="Only")
+    assert region_removal_uncitedness(mixed, cfg).rows[0]["removed_share"] is None
+    with pytest.raises(ValueError, match="empty residual"):
+        region_removal_uncitedness(mixed, replace(cfg, core_only=True))
 
 
 FORWARD = StudyConfig(window=WindowSpec("forward", 2))
@@ -238,12 +245,17 @@ def test_invalid_study_spec_raises(kind, cfg, params, match):
         StudySpec("s", kind, cfg, **params)
 
 
-def test_run_studies_raises_a_study_error_in_its_turn():
-    removal = StudySpec("b", "region_removal", replace(FORWARD, region_removed="Atlantis"))
-    reports = run_studies(small_corpus(), [StudySpec("a", "gini", FORWARD), removal,
-                                           StudySpec("c", "uncited", FORWARD)])
+@pytest.mark.parametrize("region, core_only, match", [("Atlantis", False, "unknown region"),
+                                                       ("Only", True, "empty residual corpus")])
+def test_run_studies_raises_a_study_error_in_its_turn(region, core_only, match):
+    # Only J, the one core journal, publishes in every year, and all its articles are Only's.
+    corpus = make_corpus(ART_HEADER + "".join(f"A{y}\t{y}\tF\tOnly\tJ\t\nB{y}\t{y}\tF\tOther\tK{y % 2}\t\n"
+                                              for y in range(2000, 2004)),
+                         EDGE_HEADER + "B2001\tA2000\nA2002\tB2001\n", span=(2000, 2003))
+    removal = StudySpec("b", "region_removal", replace(FORWARD, region_removed=region, core_only=core_only))
+    reports = run_studies(corpus, [StudySpec("a", "gini", FORWARD), removal, StudySpec("c", "uncited", FORWARD)])
     assert [rep.study_id for rep in next(reports)] == ["a"]
-    with pytest.raises(ValueError, match="unknown region"):
+    with pytest.raises(ValueError, match=match):
         next(reports)
 
 
